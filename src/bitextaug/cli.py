@@ -17,10 +17,10 @@ from .buckets import parse_bucket_spec
 from .corpus import (
     Corpus,
     Origin,
-    Sentence,
     Side,
     holdout_split,
     load_parallel,
+    read_lines,
     sample as sample_corpus,
     save_parallel,
     write_sidecar,
@@ -76,11 +76,6 @@ def _save_with_sidecar(corpus: Corpus, prefix: str) -> None:
     tgt = f"{prefix}.{corpus.target_lang}"
     save_parallel(corpus, src, tgt)
     write_sidecar(f"{prefix}.meta", {"name": corpus.name, "pairs": str(len(corpus)), **corpus.meta})
-
-
-def _read_lines(path: str) -> list[Sentence]:
-    with open(path, encoding="utf-8") as f:
-        return [Sentence(line.rstrip("\n")) for line in f]
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -292,10 +287,10 @@ def _cmd_mix(args) -> int:
 
 
 def _cmd_bleu(args) -> int:
-    hyps = _read_lines(args.hyp)
-    refs = _read_lines(args.ref)
+    hyps = read_lines(args.hyp)
+    refs = read_lines(args.ref)
     if args.src:
-        srcs = _read_lines(args.src)
+        srcs = read_lines(args.src)
         report = bucketed_bleu(
             hyps, refs, srcs, parse_bucket_spec(args.buckets),
             n_order=args.n_order, smooth=args.smooth,

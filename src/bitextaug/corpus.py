@@ -226,6 +226,15 @@ def save_parallel(corpus: Corpus, source_path: PathLike, target_path: PathLike) 
         ft.writelines(p.target.raw + "\n" for p in corpus.pairs)
 
 
+def read_lines(path: PathLike) -> list[Sentence]:
+    """Read one sentence per line (UTF-8), e.g. a decoder's output file.
+
+    Unlike load_parallel, empty lines are kept: they are empty decodes.
+    """
+    with open(path, encoding="utf-8") as f:
+        return [Sentence(line.rstrip("\n")) for line in f]
+
+
 def write_sidecar(path: PathLike, entries: dict[str, str]) -> None:
     """Write a key=value metadata sidecar, keys sorted for determinism."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:

@@ -8,7 +8,15 @@ token-ready text), no smoothing unless requested. Orders for which the
 hypothesis corpus has no n-grams at all are dropped from the geometric
 mean; that degenerate case only arises when every hypothesis is shorter
 than the order and keeps the identity BLEU(h, h) = 100 exact for any
-non-empty corpus.
+non-empty corpus. Hypotheses with no tokens at all (a decoder that
+returns only empty lines, for the whole corpus or for one length bucket)
+score 0.0 with brevity penalty 0.0 and all-zero precisions, the limit of
+the brevity penalty as the hypothesis length goes to 0; they do not raise.
+
+Scores are computed from additive sufficient statistics: per-order
+clipped-match and total n-gram counts plus the two corpus lengths. These
+are integers, so the counts of disjoint item sets sum exactly to the
+counts of their union.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import csv
 import io
 import math
 from itertools import repeat
-from operator import and_, eq, sub
+from operator import add, and_, eq, sub
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -210,7 +218,16 @@ def _ngram_stats_generic(hyps: Sequence[Sentence], refs: Sequence[Sentence], n_o
     return matched, total, hyp_len, ref_len
 
 
+def _ngram_stats(hyps: Sequence[Sentence], refs: Sequence[Sentence], n_order: int):
+    """(matched, total, hyp_len, ref_len) from the kernel suited to n_order."""
+    if n_order == 4:
+        return _ngram_stats_order4(hyps, refs)
+    return _ngram_stats_generic(hyps, refs, n_order)
+
+
 def _combine(matched, total, hyp_len, ref_len, n_order, smooth):
+    if hyp_len == 0:  # empty output: the brevity penalty's limit is 0
+        return 0.0, 0.0, (0.0,) * n_order
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     precisions: list[float] = []
     log_sum = 0.0
@@ -257,12 +274,7 @@ def corpus_bleu(
         raise ValidationError("corpus_bleu: empty input")
     if n_order < 1:
         raise ValidationError(f"corpus_bleu: n_order must be >= 1, got {n_order}")
-    if n_order == 4:
-        matched, total, hyp_len, ref_len = _ngram_stats_order4(hypotheses, references)
-    else:
-        matched, total, hyp_len, ref_len = _ngram_stats_generic(hypotheses, references, n_order)
-    if hyp_len == 0:
-        raise ValidationError("corpus_bleu: hypotheses contain no tokens")
+    matched, total, hyp_len, ref_len = _ngram_stats(hypotheses, references, n_order)
     score, bp, precisions = _combine(matched, total, hyp_len, ref_len, n_order, smooth)
     return BleuReport(
         overall=score,
@@ -289,6 +301,12 @@ def bucketed_bleu(
     longer items are excluded from every score (including the overall one)
     and counted in the report's ``excluded`` field; an open-ended spec
     excludes nothing. Empty buckets report score None, never 0.
+
+    Each item is counted once: every non-empty bucket runs the n-gram
+    kernel over its members and is scored from those counts, and the
+    overall score comes from the summed counts of the covered buckets. The
+    sums are exact, so the overall score equals ``corpus_bleu`` over the
+    covered items.
     """
     if not (len(hypotheses) == len(references) == len(sources)):
         raise ValidationError(
@@ -297,37 +315,43 @@ def bucketed_bleu(
         )
     if not hypotheses:
         raise ValidationError("bucketed_bleu: empty input")
+    if n_order < 1:
+        raise ValidationError(f"bucketed_bleu: n_order must be >= 1, got {n_order}")
     src_lens = np.fromiter((len(s.raw.split()) for s in sources), np.int64, count=len(sources))
     if int(src_lens.min()) < 1:
         raise ValidationError("bucketed_bleu: sources must be non-empty sentences")
     idx = np.searchsorted(np.asarray(buckets.bounds), src_lens, side="left")
     n_buckets = len(buckets.labels)
+    excluded = int((idx >= n_buckets).sum())
+    if excluded == len(sources):
+        raise ValidationError("bucketed_bleu: every item falls outside the bucket spec")
     per_bucket: dict[str, BucketScore] = {}
-    covered_h: list[Sentence] = []
-    covered_r: list[Sentence] = []
+    matched = [0] * n_order
+    total = [0] * n_order
+    hyp_len = ref_len = 0
     for b, label in enumerate(buckets.labels):
-        members = np.flatnonzero(idx == b)
-        if len(members) == 0:
+        members = np.flatnonzero(idx == b).tolist()
+        if not members:
             per_bucket[label] = BucketScore(None, 0)
             continue
-        hs = [hypotheses[i] for i in members.tolist()]
-        rs = [references[i] for i in members.tolist()]
-        covered_h.extend(hs)
-        covered_r.extend(rs)
-        rep = corpus_bleu(hs, rs, n_order=n_order, smooth=smooth)
-        per_bucket[label] = BucketScore(rep.overall, len(members))
-    excluded = int((idx >= n_buckets).sum())
-    if not covered_h:
-        raise ValidationError("bucketed_bleu: every item falls outside the bucket spec")
-    overall = corpus_bleu(covered_h, covered_r, n_order=n_order, smooth=smooth)
+        m, t, hl, rl = _ngram_stats(
+            [hypotheses[i] for i in members], [references[i] for i in members], n_order
+        )
+        score, _, _ = _combine(m, t, hl, rl, n_order, smooth)
+        per_bucket[label] = BucketScore(score, len(members))
+        matched = list(map(add, matched, m))
+        total = list(map(add, total, t))
+        hyp_len += hl
+        ref_len += rl
+    score, bp, precisions = _combine(matched, total, hyp_len, ref_len, n_order, smooth)
     return BleuReport(
-        overall=overall.overall,
+        overall=score,
         per_bucket=per_bucket,
         n_order=n_order,
-        bp=overall.bp,
-        precisions=overall.precisions,
-        hyp_len=overall.hyp_len,
-        ref_len=overall.ref_len,
+        bp=bp,
+        precisions=precisions,
+        hyp_len=hyp_len,
+        ref_len=ref_len,
         excluded=excluded,
     )
 

@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 from .augment import AugmentConfig, DEFAULT_MIN_CONCAT_LEN, DEFAULT_SEP_TOKEN
 from .buckets import BucketSpec, parse_bucket_spec
-from .corpus import Side, load_parallel, sample, write_sidecar
+from .corpus import Side, load_parallel, read_lines, sample, write_sidecar
 from .errors import PipelineError, ValidationError
 from .metrics import BleuReport, average_runs, bucketed_bleu, report_to_csv
 from .mix import RECIPES, MixRecipe, build_mix, write_mix
@@ -351,7 +351,7 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
                     forward, Path(config.test_source), run_dir / "hyp.txt", seed=seed
                 )
                 stage = "score"
-                hyps = _read_sentences(hyp_path)
+                hyps = read_lines(hyp_path)
                 refs = [p.target for p in test.pairs]
                 srcs = [p.source for p in test.pairs]
                 if len(hyps) != len(refs):
@@ -413,10 +413,3 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
             outputs[child.name] = dest
         work.rmdir()
     return outputs
-
-
-def _read_sentences(path: Path):
-    from .corpus import Sentence
-
-    with open(path, encoding="utf-8") as f:
-        return [Sentence(line.rstrip("\n")) for line in f]

@@ -13,7 +13,7 @@ import pytest
 
 from bitextaug.augment import AugmentConfig, concat_augment
 from bitextaug.buckets import EXTENDED_BUCKETS, PAIRWISE_BUCKETS, STANDARD_BUCKETS
-from bitextaug.corpus import Origin, Sentence
+from bitextaug.corpus import Corpus, Origin, Sentence
 from bitextaug.metrics import (
     BleuReport,
     BucketScore,
@@ -21,6 +21,7 @@ from bitextaug.metrics import (
     bucketed_bleu,
     corpus_bleu,
     diff_by_bucket,
+    report_from_csv,
     tally_judgments,
 )
 from bitextaug.mix import MixRecipe, build_mix
@@ -319,7 +320,19 @@ def test_08_diff_fixtures():
 @criterion(9, "two full pipeline runs produce byte-identical artifacts", 30.0)
 def test_09_end_to_end_determinism(tmp_path):
     train = make_corpus(200, seed=404, min_len=13, max_len=24)
-    test = make_corpus(60, seed=405, min_len=2, max_len=40, unique_lines=False)
+    # targets keep about 80% of their source's tokens, so the identity
+    # decodes match real n-grams and the compared reports carry nonzero scores
+    base = make_corpus(60, seed=405, min_len=2, max_len=40, unique_lines=False)
+    rng = random.Random(406)
+    test = Corpus(
+        [
+            p._replace(target=Sentence(" ".join(
+                t if rng.random() < 0.8 else f"v{rng.randint(0, 30)}" for t in p.source.tokens
+            )))
+            for p in base.pairs
+        ],
+        name=base.name,
+    )
     train_src, train_tgt = write_pair_files(tmp_path, train, prefix="train")
     test_src, test_tgt = write_pair_files(tmp_path, test, prefix="test")
 
@@ -354,6 +367,9 @@ def test_09_end_to_end_determinism(tmp_path):
     assert {"train.src", "train.tgt", "train.manifest", "averaged.csv",
             "bucket_table.md", "scores.svg", "metadata.txt"} <= names
     assert compared >= 12
+    averaged = report_from_csv((out_a / "report" / "averaged.csv").read_text(encoding="utf-8"))
+    scores = [averaged.overall] + [bs.score for bs in averaged.per_bucket.values()]
+    assert any(s is not None and 0.0 < s < 100.0 for s in scores), scores
 
 
 @criterion(10, "throughput: concat >= 100K pairs/s, BLEU >= 50K sentences/s at 1M scale", 120.0)

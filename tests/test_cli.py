@@ -164,6 +164,19 @@ class TestScoringCommands:
         assert "1-10\t1\t" in out
         assert (tmp_path / "report.csv").exists()
 
+    def test_bleu_bucket_of_empty_decodes_scores_zero(self, tmp_path, capsys):
+        (tmp_path / "hyp.txt").write_text("\na b c\n", encoding="utf-8")
+        (tmp_path / "ref.txt").write_text("a\na b c\n", encoding="utf-8")
+        (tmp_path / "src.txt").write_text("s\n" + "s " * 14 + "s\n", encoding="utf-8")
+        code = main(
+            ["bleu", "--hyp", str(tmp_path / "hyp.txt"), "--ref", str(tmp_path / "ref.txt"),
+             "--src", str(tmp_path / "src.txt")]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "1-10\t1\t0.0" in out
+        assert "11-20\t1\t100.0" in out
+
     def test_diff_command(self, tmp_path, capsys):
         (tmp_path / "hyp.txt").write_text("a b c d e\n", encoding="utf-8")
         (tmp_path / "ref.txt").write_text("a b c d e\n", encoding="utf-8")

@@ -171,8 +171,6 @@ class TestCorpusBleuOracle:
             h, r = sents(hyps), sents(refs)
             stats = _ngram_stats_order4(h, r)
             assert stats == _ngram_stats_generic(h, r, 4), f"trial {trial}"
-            if stats[2] == 0:
-                continue  # no hypothesis tokens: corpus_bleu rejects the input
             got = corpus_bleu(h, r, smooth=True).overall
             want = oracle_bleu([x.split() for x in hyps], [x.split() for x in refs], smooth=True)
             assert got == pytest.approx(want, abs=1e-9), f"trial {trial}"
@@ -216,15 +214,77 @@ class TestBucketedBleu:
             assert report.per_bucket[label].score is None
             assert report.per_bucket[label].count == 0
 
-    def test_overall_equals_plain_corpus_bleu(self):
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("n_order", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("spec", ["standard", "10,20,40"], ids=["open", "finite"])
+    def test_overall_equals_plain_corpus_bleu(self, spec, n_order, smooth):
+        # summed per-bucket counts must reproduce corpus_bleu exactly, on
+        # the covered items overall and on each bucket's members
         rng = random.Random(44)
         vocab = [f"w{i}" for i in range(25)]
-        hyps = sents(random_corpus(rng, 60, vocab))
-        refs = sents(random_corpus(rng, 60, vocab))
-        srcs = sents(random_corpus(rng, 60, vocab, min_len=1, max_len=90))
+        refs_raw = random_corpus(rng, 120, vocab)
+        hyps_raw = []
+        for r in refs_raw:
+            toks = [t if rng.random() < 0.8 else rng.choice(vocab) for t in r.split()]
+            hyps_raw.append(" ".join(toks) if rng.random() < 0.95 else "")
+        hyps, refs = sents(hyps_raw), sents(refs_raw)
+        srcs = sents(random_corpus(rng, 120, vocab, min_len=1, max_len=60))
+        buckets = parse_bucket_spec(spec)
+        report = bucketed_bleu(hyps, refs, srcs, buckets, n_order=n_order, smooth=smooth)
+        labels = [buckets.label_of(s.token_count()) for s in srcs]
+        covered = [i for i, label in enumerate(labels) if label is not None]
+        assert report.excluded == len(srcs) - len(covered)
+        assert (report.excluded > 0) == (spec != "standard")
+        want = corpus_bleu(
+            [hyps[i] for i in covered], [refs[i] for i in covered], n_order=n_order, smooth=smooth
+        )
+        assert 0.0 < report.overall < 100.0
+        assert report.overall == want.overall
+        assert (report.bp, report.precisions) == (want.bp, want.precisions)
+        assert (report.hyp_len, report.ref_len) == (want.hyp_len, want.ref_len)
+        for label, bs in report.per_bucket.items():
+            members = [i for i in covered if labels[i] == label]
+            assert bs.count == len(members)
+            if not members:
+                assert bs.score is None
+                continue
+            plain = corpus_bleu(
+                [hyps[i] for i in members], [refs[i] for i in members],
+                n_order=n_order, smooth=smooth,
+            )
+            assert bs.score == plain.overall, label
+
+    def test_empty_decodes_in_one_bucket_score_zero(self):
+        # every hypothesis of bucket 1-10 is empty; 11-20 is a perfect match
+        hyps = sents(["", "a b c"])
+        refs = sents(["a", "a b c"])
+        srcs = sents(["s", " ".join(["s"] * 15)])
         report = bucketed_bleu(hyps, refs, srcs, STANDARD_BUCKETS)
-        assert report.overall == corpus_bleu(hyps, refs).overall
-        assert report.excluded == 0
+        assert report.per_bucket["1-10"] == BucketScore(0.0, 1)
+        assert report.per_bucket["11-20"] == BucketScore(100.0, 1)
+        assert (report.hyp_len, report.ref_len) == (3, 4)
+        assert report.bp == pytest.approx(math.exp(1 - 4 / 3), abs=1e-15)
+        assert report.overall == pytest.approx(
+            oracle_bleu([h.raw.split() for h in hyps], [r.raw.split() for r in refs]), abs=1e-9
+        )
+
+    def test_all_empty_decodes_score_zero(self):
+        hyps = sents(["", " ", ""])
+        refs = sents(["a b", "c", "d e f"])
+        srcs = sents(["s", "s s", " ".join(["s"] * 12)])
+        report = bucketed_bleu(hyps, refs, srcs, STANDARD_BUCKETS, n_order=3)
+        assert report.overall == 0.0
+        assert report.bp == 0.0
+        assert report.precisions == (0.0, 0.0, 0.0)
+        assert (report.hyp_len, report.ref_len) == (0, 6)
+        assert report.per_bucket["1-10"] == BucketScore(0.0, 2)
+        assert report.per_bucket["11-20"] == BucketScore(0.0, 1)
+        plain = corpus_bleu(hyps, refs, n_order=3, smooth=True)
+        assert (plain.overall, plain.bp, plain.precisions) == (0.0, 0.0, (0.0, 0.0, 0.0))
+
+    def test_bad_order_rejected(self):
+        with pytest.raises(ValidationError, match="n_order"):
+            bucketed_bleu(sents(["a"]), sents(["a"]), sents(["s"]), STANDARD_BUCKETS, n_order=0)
 
     def test_finite_spec_excludes_overlong_items(self):
         srcs = sents([" ".join(["s"] * 5), " ".join(["s"] * 300)])
