@@ -19,12 +19,12 @@ from .corpus import (
     Corpus,
     LengthStats,
     Origin,
-    Sentence,
     SentencePair,
     Side,
     holdout_split,
     length_stats,
     load_parallel,
+    read_lines,
     sample,
     save_parallel,
     validate_corpus,
@@ -94,7 +94,6 @@ __all__ = [
     "PipelineError",
     "RECIPES",
     "STANDARD_BUCKETS",
-    "Sentence",
     "SentencePair",
     "Side",
     "ToolError",
@@ -119,6 +118,7 @@ __all__ = [
     "mock_spec",
     "parse_bucket_spec",
     "read_judgments",
+    "read_lines",
     "render_bucket_table",
     "render_diff_chart",
     "render_diff_csv",

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .corpus import PRNG_ID, Corpus, Origin, Sentence, SentencePair, Side, gc_paused
+from .corpus import PRNG_ID, Corpus, Origin, SentencePair, Side
 from .errors import AugmentationError, ValidationError
 
 DEFAULT_SEP_TOKEN = "<sep>"
@@ -55,7 +55,7 @@ class AugmentConfig(NamedTuple):
             )
 
 
-def concat_pair(a: SentencePair, b: SentencePair, sep: str = DEFAULT_SEP_TOKEN, pair_id: int = 0) -> SentencePair:
+def concat_pair(a: SentencePair, b: SentencePair, sep: str = DEFAULT_SEP_TOKEN) -> SentencePair:
     """Concatenate two pairs source-with-source and target-with-target.
 
     Neither input may already be a concatenation or contain the separator.
@@ -63,24 +63,23 @@ def concat_pair(a: SentencePair, b: SentencePair, sep: str = DEFAULT_SEP_TOKEN, 
     for label, p in (("first", a), ("second", b)):
         if p.origin is Origin.CONCAT:
             raise ValidationError(f"concat_pair: {label} input is already concatenated")
-        if sep in p.source.tokens or sep in p.target.tokens:
+        if sep in p.source.split() or sep in p.target.split():
             raise ValidationError(
                 f"concat_pair: {label} input contains the separator token {sep!r}"
             )
-    source = Sentence(f"{a.source.raw} {sep} {b.source.raw}")
-    target = Sentence(f"{a.target.raw} {sep} {b.target.raw}")
-    return SentencePair(pair_id, source, target, Origin.CONCAT)
+    return SentencePair(
+        f"{a.source} {sep} {b.source}", f"{a.target} {sep} {b.target}", Origin.CONCAT
+    )
 
 
 def _pool_origin(pool: Corpus) -> Origin:
-    origins = set(map(operator.attrgetter("origin"), pool.pairs))
-    if len(origins) != 1:
-        names = sorted(o.value for o in origins)
+    origin = pool.origins[0]
+    if pool.origins.count(origin) != len(pool):
+        names = sorted({o.value for o in pool.origins})
         raise ValidationError(
             f"concat pool must be homogeneous in origin, found {names}; "
             "concatenate original and pseudo pools separately"
         )
-    origin = origins.pop()
     if origin is Origin.CONCAT:
         raise ValidationError("concat pool must not itself be concatenated")
     return origin
@@ -102,85 +101,63 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
     sep = config.sep_token
     if len(pool) < 2:
         raise ValidationError(f"concat pool needs at least 2 pairs, got {len(pool)}")
-    # the cyclic GC stays off for the whole call: with million-pair pools
-    # alive, collections triggered by this function's churn re-scan every
-    # pool tuple and dominate runtime
-    with gc_paused():
-        _pool_origin(pool)
-        n = len(pool)
-        src_raws = list(map(operator.attrgetter("source.raw"), pool.pairs))
-        tgt_raws = list(map(operator.attrgetter("target.raw"), pool.pairs))
-        # substring scan first (C-speed short-circuit over the whole pool);
-        # only on a hit does a line-by-line tokenized check run
-        for raws in (src_raws, tgt_raws):
-            if any(map(operator.contains, raws, repeat(sep))):
-                for i, raw in enumerate(raws):
-                    if sep in raw.split():
-                        raise ValidationError(
-                            f"pool pair {i} contains the reserved separator token {sep!r}"
-                        )
+    _pool_origin(pool)
+    n = len(pool)
+    src, tgt = pool.sources, pool.targets
+    # substring scan first (C-speed short-circuit over the whole pool);
+    # only on a hit does a line-by-line tokenized check run
+    for lines in (src, tgt):
+        if any(map(operator.contains, lines, repeat(sep))):
+            for i, line in enumerate(lines):
+                if sep in line.split():
+                    raise ValidationError(
+                        f"pool pair {i} contains the reserved separator token {sep!r}"
+                    )
 
-        measured = src_raws if config.length_side is Side.SOURCE else tgt_raws
-        lens = np.fromiter(map(len, map(str.split, measured)), np.int64, count=n)
-        sep_add = 1 if config.count_sep_in_length else 0
-        top_two = int(np.partition(lens, -2)[-2:].sum()) + sep_add
-        if config.target_count > 0 and top_two < config.min_concat_len:
+    lens = pool.token_counts(config.length_side)
+    sep_add = 1 if config.count_sep_in_length else 0
+    top_two = int(np.partition(lens, -2)[-2:].sum()) + sep_add
+    if config.target_count > 0 and top_two < config.min_concat_len:
+        raise AugmentationError(
+            f"length threshold unreachable: max concatenated length {top_two} "
+            f"< min_concat_len {config.min_concat_len}"
+        )
+
+    rng = np.random.default_rng(config.seed)
+    budget = config.max_attempts_factor * config.target_count
+    draws = rejected_self = rejected_short = 0
+    kept_i: list[np.ndarray] = []
+    kept_j: list[np.ndarray] = []
+    need = config.target_count
+    while need > 0:
+        batch = min(max(4096, 2 * need), 1 << 17, budget - draws)
+        if batch <= 0:
             raise AugmentationError(
-                f"length threshold unreachable: max concatenated length {top_two} "
-                f"< min_concat_len {config.min_concat_len}"
+                f"could not reach target_count={config.target_count} within "
+                f"{budget} draws ({rejected_short} rejected below "
+                f"min_concat_len={config.min_concat_len}, {rejected_self} self-pairs); "
+                "the pool sentences are too short for the threshold"
             )
+        ij = rng.integers(0, n, size=(batch, 2))
+        draws += batch
+        i, j = ij[:, 0], ij[:, 1]
+        distinct = i != j
+        rejected_self += int(batch - distinct.sum())
+        long_enough = lens[i] + lens[j] + sep_add >= config.min_concat_len
+        ok = distinct & long_enough
+        rejected_short += int((distinct & ~long_enough).sum())
+        i, j = i[ok], j[ok]
+        if len(i) > need:
+            i, j = i[:need], j[:need]
+        kept_i.append(i)
+        kept_j.append(j)
+        need -= len(i)
 
-        rng = np.random.default_rng(config.seed)
-        budget = config.max_attempts_factor * config.target_count
-        draws = rejected_self = rejected_short = 0
-        kept_i: list[np.ndarray] = []
-        kept_j: list[np.ndarray] = []
-        need = config.target_count
-        while need > 0:
-            batch = min(max(4096, 2 * need), 1 << 17, budget - draws)
-            if batch <= 0:
-                raise AugmentationError(
-                    f"could not reach target_count={config.target_count} within "
-                    f"{budget} draws ({rejected_short} rejected below "
-                    f"min_concat_len={config.min_concat_len}, {rejected_self} self-pairs); "
-                    "the pool sentences are too short for the threshold"
-                )
-            ij = rng.integers(0, n, size=(batch, 2))
-            draws += batch
-            i, j = ij[:, 0], ij[:, 1]
-            distinct = i != j
-            rejected_self += int(batch - distinct.sum())
-            long_enough = lens[i] + lens[j] + sep_add >= config.min_concat_len
-            ok = distinct & long_enough
-            rejected_short += int((distinct & ~long_enough).sum())
-            i, j = i[ok], j[ok]
-            if len(i) > need:
-                i, j = i[:need], j[:need]
-            kept_i.append(i)
-            kept_j.append(j)
-            need -= len(i)
-
-        mid = f" {sep} "
-        # tuple.__new__ skips the generated NamedTuple __new__ wrapper, a
-        # Python-level call that would otherwise dominate this loop
-        tnew = tuple.__new__
-        pair_cls, sent_cls, concat_origin = SentencePair, Sentence, Origin.CONCAT
-        out_pairs = [
-            tnew(
-                pair_cls,
-                (
-                    k,
-                    tnew(sent_cls, (src_raws[a] + mid + src_raws[b],)),
-                    tnew(sent_cls, (tgt_raws[a] + mid + tgt_raws[b],)),
-                    concat_origin,
-                ),
-            )
-            for k, a, b in zip(
-                range(config.target_count),
-                np.concatenate(kept_i).tolist() if kept_i else [],
-                np.concatenate(kept_j).tolist() if kept_j else [],
-            )
-        ]
+    first = np.concatenate(kept_i).tolist() if kept_i else []
+    second = np.concatenate(kept_j).tolist() if kept_j else []
+    mid = f" {sep} "
+    sources = [src[a] + mid + src[b] for a, b in zip(first, second)]
+    targets = [tgt[a] + mid + tgt[b] for a, b in zip(first, second)]
     meta = {
         "augment": "concat",
         "pool": pool.name,
@@ -196,7 +173,13 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
         "rejected_self": str(rejected_self),
     }
     return Corpus(
-        out_pairs, f"{pool.name}+concat", pool.source_lang, pool.target_lang, meta
+        sources,
+        targets,
+        (Origin.CONCAT,) * len(sources),
+        f"{pool.name}+concat",
+        pool.source_lang,
+        pool.target_lang,
+        meta,
     )
 
 
@@ -209,14 +192,9 @@ def measure_concat_mean(corpus: Corpus, config: Optional[AugmentConfig] = None) 
     if len(corpus) == 0:
         raise ValidationError("measure_concat_mean: empty corpus")
     cfg = config or AugmentConfig(seed=0)
-    lens = corpus.token_counts(cfg.length_side)
-    if not cfg.count_sep_in_length:
-        sep = cfg.sep_token
-        attr = "source" if cfg.length_side is Side.SOURCE else "target"
-        sep_counts = np.fromiter(
-            (getattr(p, attr).raw.split().count(sep) for p in corpus.pairs),
-            np.int64,
-            count=len(corpus),
-        )
-        lens = lens - sep_counts
-    return float(lens.sum()) / len(corpus)
+    tokens = map(str.split, corpus.column(cfg.length_side))
+    if cfg.count_sep_in_length:
+        total = sum(map(len, tokens))
+    else:
+        total = sum(len(t) - t.count(cfg.sep_token) for t in tokens)
+    return total / len(corpus)

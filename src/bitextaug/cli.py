@@ -17,7 +17,6 @@ from .buckets import parse_bucket_spec
 from .corpus import (
     Corpus,
     Origin,
-    Side,
     holdout_split,
     load_parallel,
     read_lines,
@@ -76,6 +75,27 @@ def _save_with_sidecar(corpus: Corpus, prefix: str) -> None:
     tgt = f"{prefix}.{corpus.target_lang}"
     save_parallel(corpus, src, tgt)
     write_sidecar(f"{prefix}.meta", {"name": corpus.name, "pairs": str(len(corpus)), **corpus.meta})
+
+
+def _augment_config(args) -> AugmentConfig:
+    """The concat settings of the mix and concat flags, as a pipeline config maps them."""
+    return PipelineConfig(
+        concat_seed=args.seed,
+        sep_token=args.sep_token,
+        min_concat_len=args.min_len,
+        length_side=args.length_side,
+        count_sep_in_length=args.count_sep,
+        max_attempts_factor=args.max_attempts_factor,
+    ).augment_config()
+
+
+def _translators(args) -> dict[Direction, TranslatorSpec]:
+    """The translators of the bt, st and mix flags, as a pipeline config maps them."""
+    return PipelineConfig(
+        forward_cmd=getattr(args, "forward_cmd", ""),
+        backward_cmd=getattr(args, "backward_cmd", ""),
+        timeout=args.timeout,
+    ).translators()
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -219,16 +239,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_concat(args) -> int:
     pool = _load_pair(args, origin=Origin(args.origin))
-    config = AugmentConfig(
-        seed=args.seed,
-        sep_token=args.sep_token,
-        min_concat_len=args.min_len,
-        target_count=args.count,
-        length_side=Side.SOURCE if args.length_side == "source" else Side.TARGET,
-        count_sep_in_length=args.count_sep,
-        max_attempts_factor=args.max_attempts_factor,
-    )
-    out = concat_augment(pool, config)
+    out = concat_augment(pool, _augment_config(args)._replace(target_count=args.count))
     _save_with_sidecar(out, args.out_prefix)
     print(
         f"wrote {len(out)} concatenated pairs to {args.out_prefix}.* "
@@ -239,8 +250,7 @@ def _cmd_concat(args) -> int:
 
 def _cmd_bt(args) -> int:
     corpus = _load_pair(args)
-    spec = TranslatorSpec(args.backward_cmd, Direction.BACKWARD, name="backward", timeout=args.timeout)
-    out = back_translate(corpus, spec)
+    out = back_translate(corpus, _translators(args)[Direction.BACKWARD])
     _save_with_sidecar(out, args.out_prefix)
     print(f"wrote {len(out)} back-translated pairs to {args.out_prefix}.*")
     return EXIT_OK
@@ -248,8 +258,7 @@ def _cmd_bt(args) -> int:
 
 def _cmd_st(args) -> int:
     corpus = _load_pair(args)
-    spec = TranslatorSpec(args.forward_cmd, Direction.FORWARD, name="forward", timeout=args.timeout)
-    out = self_train(corpus, spec)
+    out = self_train(corpus, _translators(args)[Direction.FORWARD])
     _save_with_sidecar(out, args.out_prefix)
     print(f"wrote {len(out)} self-trained pairs to {args.out_prefix}.*")
     return EXIT_OK
@@ -263,24 +272,7 @@ def _cmd_mix(args) -> int:
         seed=args.seed,
         shuffle_output=not args.no_shuffle,
     )
-    translators = {}
-    if args.forward_cmd:
-        translators[Direction.FORWARD] = TranslatorSpec(
-            args.forward_cmd, Direction.FORWARD, name="forward", timeout=args.timeout
-        )
-    if args.backward_cmd:
-        translators[Direction.BACKWARD] = TranslatorSpec(
-            args.backward_cmd, Direction.BACKWARD, name="backward", timeout=args.timeout
-        )
-    augment = AugmentConfig(
-        seed=args.seed,
-        sep_token=args.sep_token,
-        min_concat_len=args.min_len,
-        length_side=Side.SOURCE if args.length_side == "source" else Side.TARGET,
-        count_sep_in_length=args.count_sep,
-        max_attempts_factor=args.max_attempts_factor,
-    )
-    mixed = build_mix(recipe, corpus, translators=translators, augment=augment)
+    mixed = build_mix(recipe, corpus, translators=_translators(args), augment=_augment_config(args))
     manifest = write_mix(mixed, args.out_dir, sep_token=args.sep_token)
     print(f"wrote {len(mixed)} pairs to {args.out_dir} (manifest: {manifest})")
     return EXIT_OK

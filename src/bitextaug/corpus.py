@@ -1,9 +1,10 @@
 """Parallel-corpus data model, file ingestion, statistics, and sampling.
 
 Corpora are line-aligned plain-text file pairs: UTF-8, LF line endings,
-one sentence per line, equal line counts. In memory a corpus is an
-immutable sequence of sentence pairs; a "word" is a whitespace-delimited
-token and every length in this package counts those tokens.
+one sentence per line, equal line counts. In memory a corpus is three
+aligned columns (source lines, target lines, origin tags); a "word" is a
+whitespace-delimited token and every length in this package counts those
+tokens.
 
 All randomized operations use numpy's PCG64 generator so that a given
 seed reproduces the same output on any platform. The generator id
@@ -13,11 +14,8 @@ seed reproduces the same output on any platform. The generator id
 from __future__ import annotations
 
 import enum
-import gc
-from contextlib import contextmanager
-from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,111 +41,85 @@ class Side(enum.Enum):
     TARGET = "target"
 
 
-class Sentence(NamedTuple):
-    """One sentence stored as its raw line text; tokens derive from it.
-
-    Tokens are recomputed on access rather than cached: corpora run into
-    the millions of sentences and token lists would triple memory.
-    """
-
-    raw: str
-
-    @property
-    def tokens(self) -> list[str]:
-        return self.raw.split()
-
-    def token_count(self) -> int:
-        return len(self.raw.split())
-
-
 class SentencePair(NamedTuple):
-    id: int
-    source: Sentence
-    target: Sentence
+    """One row of a corpus, as yielded by iterating or indexing it."""
+
+    source: str
+    target: str
     origin: Origin
 
 
-@contextmanager
-def gc_paused():
-    """Suspend the cyclic GC around bulk object construction.
-
-    Building millions of tuples and strings triggers repeated full
-    collections that dominate runtime; none of the objects built here can
-    form cycles. Allocation counters keep accumulating while collection
-    is off, so on re-enable a surprise full collection would hit the
-    caller's very next allocation; a single young-generation pass here
-    absorbs that debt at a predictable point instead.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.collect(0)
-            gc.enable()
-
-
 class Corpus:
-    """Immutable ordered collection of aligned sentence pairs."""
+    """Immutable ordered corpus held as three equal-length tuple columns.
 
-    __slots__ = ("pairs", "name", "source_lang", "target_lang", "meta")
+    ``sources[i]``, ``targets[i]`` and ``origins[i]`` make up pair i;
+    iterating or indexing yields SentencePair rows built on the fly.
+    """
+
+    __slots__ = ("sources", "targets", "origins", "name", "source_lang", "target_lang", "meta")
 
     def __init__(
         self,
-        pairs: Iterable[SentencePair],
+        sources: Iterable[str],
+        targets: Iterable[str],
+        origins: Iterable[Origin],
         name: str = "corpus",
         source_lang: str = "src",
         target_lang: str = "tgt",
         meta: Optional[dict[str, str]] = None,
     ):
-        self.pairs: tuple[SentencePair, ...] = tuple(pairs)
+        self.sources: tuple[str, ...] = tuple(sources)
+        self.targets: tuple[str, ...] = tuple(targets)
+        self.origins: tuple[Origin, ...] = tuple(origins)
+        if not len(self.sources) == len(self.targets) == len(self.origins):
+            raise ValidationError(
+                f"corpus columns differ in length: {len(self.sources)} sources, "
+                f"{len(self.targets)} targets, {len(self.origins)} origins"
+            )
         self.name = name
         self.source_lang = source_lang
         self.target_lang = target_lang
         self.meta: dict[str, str] = dict(meta or {})
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.sources)
 
     def __iter__(self) -> Iterator[SentencePair]:
-        return iter(self.pairs)
+        return map(SentencePair, self.sources, self.targets, self.origins)
 
     def __getitem__(self, i: int) -> SentencePair:
-        return self.pairs[i]
+        return SentencePair(self.sources[i], self.targets[i], self.origins[i])
 
     def __eq__(self, other) -> bool:
         # Content equality only; name and meta are provenance, not data.
         if not isinstance(other, Corpus):
             return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
+        return (
+            self.sources == other.sources
+            and self.targets == other.targets
+            and self.origins == other.origins
+        )
 
     def __repr__(self) -> str:
-        return f"Corpus({self.name!r}, {len(self.pairs)} pairs)"
+        return f"Corpus({self.name!r}, {len(self)} pairs)"
 
-    def source_token_counts(self) -> np.ndarray:
-        return np.fromiter(
-            (len(p.source.raw.split()) for p in self.pairs), np.int64, count=len(self.pairs)
+    def take(self, rows: Sequence[int], name: str, meta: dict[str, str]) -> "Corpus":
+        """The pairs at ``rows``, in that order, as a new corpus in the same languages."""
+        columns = (self.sources, self.targets, self.origins)
+        return Corpus(
+            *(map(column.__getitem__, rows) for column in columns),
+            name,
+            self.source_lang,
+            self.target_lang,
+            meta,
         )
 
-    def target_token_counts(self) -> np.ndarray:
-        return np.fromiter(
-            (len(p.target.raw.split()) for p in self.pairs), np.int64, count=len(self.pairs)
-        )
+    def column(self, side: Side) -> tuple[str, ...]:
+        return self.sources if side is Side.SOURCE else self.targets
 
     def token_counts(self, side: Side) -> np.ndarray:
-        return self.source_token_counts() if side is Side.SOURCE else self.target_token_counts()
-
-    def renumbered(self, name: Optional[str] = None, meta: Optional[dict[str, str]] = None) -> "Corpus":
-        """Same pairs with ids reassigned to 0..n-1."""
-        with gc_paused():
-            pairs = [
-                SentencePair(i, p.source, p.target, p.origin) for i, p in enumerate(self.pairs)
-            ]
-        return Corpus(pairs, name or self.name, self.source_lang, self.target_lang, meta or self.meta)
+        lines = self.column(side)
+        return np.fromiter(map(len, map(str.split, lines)), np.int64, count=len(lines))
 
 
 class LengthStats(NamedTuple):
@@ -156,10 +128,36 @@ class LengthStats(NamedTuple):
     histogram: dict[str, int]
 
 
-def _check_line(raw: str, path: PathLike, lineno: int) -> str:
-    if not raw or raw.isspace():
-        raise CorpusFormatError(f"{path}:{lineno}: empty sentence")
-    return raw
+def scan_lines(path: PathLike) -> Iterator[str]:
+    """Yield the lines of a UTF-8 file.
+
+    Only ``\\n`` ends a line, and one ``\\r`` before it is dropped, so CRLF
+    files read like LF files. Any other ``\\r`` stays inside its line.
+    """
+    with open(path, encoding="utf-8", newline="\n") as f:
+        for line in f:
+            yield line.removesuffix("\n").removesuffix("\r")
+
+
+def line_problem(line: str) -> Optional[str]:
+    """Why a line cannot be a corpus sentence, or None when it can."""
+    if not line or line.isspace():
+        return "empty sentence"
+    if "\r" in line:
+        return "carriage return inside the line"
+    return None
+
+
+def _read_column(path: Path) -> list[str]:
+    """The lines of one side of a bitext; each must be a corpus sentence."""
+    try:
+        lines = list(scan_lines(path))
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"invalid UTF-8 in {path}: {exc}") from exc
+    for lineno, problem in enumerate(map(line_problem, lines), start=1):
+        if problem is not None:
+            raise CorpusFormatError(f"{path}:{lineno}: {problem}")
+    return lines
 
 
 def load_parallel(
@@ -170,39 +168,25 @@ def load_parallel(
     source_lang: str = "src",
     target_lang: str = "tgt",
 ) -> Corpus:
-    """Load a line-aligned file pair into a corpus, streaming line by line.
+    """Load a line-aligned file pair into a corpus, one column per file.
 
-    Raises CorpusFormatError on a line-count mismatch (both counts
-    reported), an empty line (line number reported), or invalid UTF-8.
+    Lines are split as scan_lines splits them. Raises CorpusFormatError on
+    a line that is empty or keeps a carriage return (file and line number
+    reported), a line-count mismatch (both counts reported), or invalid
+    UTF-8.
     """
     source_path = Path(source_path)
     target_path = Path(target_path)
-    pairs: list[SentencePair] = []
-    n_src = n_tgt = 0
-    with gc_paused():
-        try:
-            with open(source_path, encoding="utf-8", newline="") as fs, open(
-                target_path, encoding="utf-8", newline=""
-            ) as ft:
-                append = pairs.append
-                for src_line, tgt_line in zip_longest(fs, ft):
-                    if src_line is not None:
-                        n_src += 1
-                    if tgt_line is not None:
-                        n_tgt += 1
-                    if src_line is None or tgt_line is None:
-                        continue  # keep draining so both totals are exact
-                    src_raw = _check_line(_strip_eol(src_line), source_path, n_src)
-                    tgt_raw = _check_line(_strip_eol(tgt_line), target_path, n_tgt)
-                    append(SentencePair(n_src - 1, Sentence(src_raw), Sentence(tgt_raw), origin))
-        except UnicodeDecodeError as exc:
-            raise CorpusFormatError(f"invalid UTF-8 in {source_path} or {target_path}: {exc}") from exc
-    if n_src != n_tgt:
+    sources = _read_column(source_path)
+    targets = _read_column(target_path)
+    if len(sources) != len(targets):
         raise CorpusFormatError(
-            f"line-count mismatch {n_src} vs {n_tgt} ({source_path} vs {target_path})"
+            f"line-count mismatch {len(sources)} vs {len(targets)} ({source_path} vs {target_path})"
         )
     return Corpus(
-        pairs,
+        sources,
+        targets,
+        (origin,) * len(sources),
         name=name or source_path.stem,
         source_lang=source_lang,
         target_lang=target_lang,
@@ -210,29 +194,21 @@ def load_parallel(
     )
 
 
-def _strip_eol(line: str) -> str:
-    if line.endswith("\n"):
-        line = line[:-1]
-    if line.endswith("\r"):
-        line = line[:-1]
-    return line
-
-
 def save_parallel(corpus: Corpus, source_path: PathLike, target_path: PathLike) -> None:
     """Write the corpus back to a line-aligned file pair (UTF-8, LF)."""
-    with open(source_path, "w", encoding="utf-8", newline="\n") as fs:
-        fs.writelines(p.source.raw + "\n" for p in corpus.pairs)
-    with open(target_path, "w", encoding="utf-8", newline="\n") as ft:
-        ft.writelines(p.target.raw + "\n" for p in corpus.pairs)
+    for path, lines in ((source_path, corpus.sources), (target_path, corpus.targets)):
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.writelines(line + "\n" for line in lines)
 
 
-def read_lines(path: PathLike) -> list[Sentence]:
+def read_lines(path: PathLike) -> list[str]:
     """Read one sentence per line (UTF-8), e.g. a decoder's output file.
 
-    Unlike load_parallel, empty lines are kept: they are empty decodes.
+    Lines are split as scan_lines splits them. Unlike load_parallel, every
+    line is kept: empty lines are empty decodes, and a line that keeps a
+    carriage return stays one line.
     """
-    with open(path, encoding="utf-8") as f:
-        return [Sentence(line.rstrip("\n")) for line in f]
+    return list(scan_lines(path))
 
 
 def write_sidecar(path: PathLike, entries: dict[str, str]) -> None:
@@ -261,16 +237,14 @@ def validate_corpus(corpus: Corpus, sep_token: Optional[str] = None) -> list[str
     the separator and concatenated pairs not containing exactly one per side.
     """
     problems: list[str] = []
-    for i, p in enumerate(corpus.pairs):
-        if p.id != i:
-            problems.append(f"pair {i}: id {p.id} out of sequence")
-        for side_name, sent in (("source", p.source), ("target", p.target)):
-            if "\n" in sent.raw:
-                problems.append(f"pair {i}: {side_name} contains a newline")
-            if not sent.raw or sent.raw.isspace():
+    for i, p in enumerate(corpus):
+        for side_name, line in (("source", p.source), ("target", p.target)):
+            if "\n" in line or "\r" in line:
+                problems.append(f"pair {i}: {side_name} contains a newline or carriage return")
+            if not line or line.isspace():
                 problems.append(f"pair {i}: empty {side_name}")
             elif sep_token is not None:
-                n_sep = sent.raw.split().count(sep_token)
+                n_sep = line.split().count(sep_token)
                 if p.origin is Origin.CONCAT and n_sep != 1:
                     problems.append(
                         f"pair {i}: concatenated {side_name} has {n_sep} separator tokens, expected 1"
@@ -314,15 +288,9 @@ def sample(corpus: Corpus, n: int, seed: int) -> Corpus:
         raise ValidationError(f"sample: n must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(size, size=n, replace=False))
-    src = corpus.pairs
-    with gc_paused():
-        pairs = [
-            SentencePair(k, src[i].source, src[i].target, src[i].origin)
-            for k, i in enumerate(idx.tolist())
-        ]
     meta = dict(corpus.meta)
     meta.update({"sampled_n": str(n), "sample_seed": str(seed), "prng": PRNG_ID})
-    return Corpus(pairs, f"{corpus.name}[sample:{n}]", corpus.source_lang, corpus.target_lang, meta)
+    return corpus.take(idx.tolist(), f"{corpus.name}[sample:{n}]", meta)
 
 
 def holdout_split(corpus: Corpus, train_n: int, test_n: int, seed: int) -> tuple[Corpus, Corpus]:
@@ -342,14 +310,8 @@ def holdout_split(corpus: Corpus, train_n: int, test_n: int, seed: int) -> tuple
     perm = rng.permutation(size)
     train_idx = np.sort(perm[:train_n])
     test_idx = np.sort(perm[train_n : train_n + test_n])
-    src = corpus.pairs
 
-    def take(indices: np.ndarray, tag: str) -> Corpus:
-        with gc_paused():
-            pairs = [
-                SentencePair(k, src[i].source, src[i].target, src[i].origin)
-                for k, i in enumerate(indices.tolist())
-            ]
+    def part(indices: np.ndarray, tag: str) -> Corpus:
         meta = dict(corpus.meta)
         meta.update(
             {
@@ -360,6 +322,6 @@ def holdout_split(corpus: Corpus, train_n: int, test_n: int, seed: int) -> tuple
                 "prng": PRNG_ID,
             }
         )
-        return Corpus(pairs, f"{corpus.name}[{tag}]", corpus.source_lang, corpus.target_lang, meta)
+        return corpus.take(indices.tolist(), f"{corpus.name}[{tag}]", meta)
 
-    return take(train_idx, "train"), take(test_idx, "heldout")
+    return part(train_idx, "train"), part(test_idx, "heldout")

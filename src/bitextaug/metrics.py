@@ -31,7 +31,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .buckets import BucketSpec
-from .corpus import Sentence, gc_paused
 from .errors import ValidationError
 
 try:  # C-accelerated counter used by collections.Counter itself
@@ -68,7 +67,7 @@ class BleuDiff(NamedTuple):
     per_bucket: dict[str, Optional[float]]
 
 
-def _ngram_stats_order4(hyps: Sequence[Sentence], refs: Sequence[Sentence]):
+def _ngram_stats_order4(hyps: Sequence[str], refs: Sequence[str]):
     """Clipped-match and total n-gram counts for orders 1..4.
 
     Hand-specialized hot path. Identical pairs are counted from their
@@ -96,129 +95,127 @@ def _ngram_stats_order4(hyps: Sequence[Sentence], refs: Sequence[Sentence]):
     total = [0, 0, 0, 0]
     hyp_len = ref_len = 0
     zp = zip
-    with gc_paused():
-        for hsent, rsent in zp(hyps, refs):
-            ht = hsent.raw.split()
-            rt = rsent.raw.split()
-            lh = len(ht)
-            hyp_len += lh
-            ref_len += len(rt)
-            total[0] += lh
+    for hyp, ref in zp(hyps, refs):
+        ht = hyp.split()
+        rt = ref.split()
+        lh = len(ht)
+        hyp_len += lh
+        ref_len += len(rt)
+        total[0] += lh
+        if lh > 1:
+            total[1] += lh - 1
+        if lh > 2:
+            total[2] += lh - 2
+        if lh > 3:
+            total[3] += lh - 3
+        if ht == rt:
+            matched[0] += lh
             if lh > 1:
-                total[1] += lh - 1
+                matched[1] += lh - 1
             if lh > 2:
-                total[2] += lh - 2
+                matched[2] += lh - 2
             if lh > 3:
-                total[3] += lh - 3
-            if ht == rt:
-                matched[0] += lh
-                if lh > 1:
-                    matched[1] += lh - 1
-                if lh > 2:
-                    matched[2] += lh - 2
-                if lh > 3:
-                    matched[3] += lh - 3
-                continue
-            no_repeats = len(set(ht)) == lh
-            if no_repeats:
-                pos = dict(zp(rt, range(len(rt))))
-                if len(pos) == len(rt):
-                    p = list(map(pos.get, ht, repeat(-lh, lh)))
-                    m = lh - p.count(-lh)
-                    if m == 0:
-                        continue
-                    matched[0] += m
-                    q = list(map(sub, p, range(lh)))
-                    e = list(map(eq, q, q[1:]))  # e[i]: bigram at i matches
-                    m = e.count(True)
-                    if m == 0:
-                        continue
-                    matched[1] += m
-                    e = list(map(and_, e, e[1:]))  # e[i]: trigram at i matches
-                    matched[2] += e.count(True)
-                    matched[3] += list(map(and_, e, e[1:])).count(True)
-                    continue
-            r1 = rt[1:]
-            r2 = rt[2:]
-            r3 = rt[3:]
-            rset = set(rt)
-            up = rset.update
-            up(zp(rt, r1))
-            up(zp(rt, r1, r2))
-            up(zp(rt, r1, r2, r3))
-            contains = rset.__contains__
-            h1 = ht[1:]
-            h2 = ht[2:]
-            h3 = ht[3:]
-            rcounts = None
-            for order, grams in (
-                (0, ht),
-                (1, list(zp(ht, h1))),
-                (2, list(zp(ht, h1, h2))),
-                (3, list(zp(ht, h1, h2, h3))),
-            ):
-                if not grams:
-                    break
-                if no_repeats or len(set(grams)) == len(grams):
-                    m = sum(map(contains, grams))
-                else:
-                    if rcounts is None:
-                        rcounts = {}
-                        _count_elements(rcounts, rt)
-                        _count_elements(rcounts, zp(rt, r1))
-                        _count_elements(rcounts, zp(rt, r1, r2))
-                        _count_elements(rcounts, zp(rt, r1, r2, r3))
-                    get = rcounts.get
-                    m = 0
-                    for g in grams:
-                        k = get(g)
-                        if k:
-                            m += 1
-                            rcounts[g] = k - 1
+                matched[3] += lh - 3
+            continue
+        no_repeats = len(set(ht)) == lh
+        if no_repeats:
+            pos = dict(zp(rt, range(len(rt))))
+            if len(pos) == len(rt):
+                p = list(map(pos.get, ht, repeat(-lh, lh)))
+                m = lh - p.count(-lh)
                 if m == 0:
-                    break  # an absent n-gram implies absent higher orders
-                matched[order] += m
-    return matched, total, hyp_len, ref_len
-
-
-def _ngram_stats_generic(hyps: Sequence[Sentence], refs: Sequence[Sentence], n_order: int):
-    """Counted clipped matching for arbitrary maximum order."""
-    matched = [0] * n_order
-    total = [0] * n_order
-    hyp_len = ref_len = 0
-    with gc_paused():
-        for hsent, rsent in zip(hyps, refs):
-            ht = hsent.raw.split()
-            rt = rsent.raw.split()
-            lh = len(ht)
-            hyp_len += lh
-            ref_len += len(rt)
-            for n in range(1, n_order + 1):
-                if lh < n:
-                    break
-                total[n - 1] += lh - n + 1
-            rcounts: dict = {}
-            for n in range(1, n_order + 1):
-                if len(rt) < n:
-                    break
-                _count_elements(
-                    rcounts, rt if n == 1 else zip(*(rt[i:] for i in range(n)))
-                )
-            get = rcounts.get
-            for n in range(1, n_order + 1):
-                if lh < n:
-                    break
+                    continue
+                matched[0] += m
+                q = list(map(sub, p, range(lh)))
+                e = list(map(eq, q, q[1:]))  # e[i]: bigram at i matches
+                m = e.count(True)
+                if m == 0:
+                    continue
+                matched[1] += m
+                e = list(map(and_, e, e[1:]))  # e[i]: trigram at i matches
+                matched[2] += e.count(True)
+                matched[3] += list(map(and_, e, e[1:])).count(True)
+                continue
+        r1 = rt[1:]
+        r2 = rt[2:]
+        r3 = rt[3:]
+        rset = set(rt)
+        up = rset.update
+        up(zp(rt, r1))
+        up(zp(rt, r1, r2))
+        up(zp(rt, r1, r2, r3))
+        contains = rset.__contains__
+        h1 = ht[1:]
+        h2 = ht[2:]
+        h3 = ht[3:]
+        rcounts = None
+        for order, grams in (
+            (0, ht),
+            (1, list(zp(ht, h1))),
+            (2, list(zp(ht, h1, h2))),
+            (3, list(zp(ht, h1, h2, h3))),
+        ):
+            if not grams:
+                break
+            if no_repeats or len(set(grams)) == len(grams):
+                m = sum(map(contains, grams))
+            else:
+                if rcounts is None:
+                    rcounts = {}
+                    _count_elements(rcounts, rt)
+                    _count_elements(rcounts, zp(rt, r1))
+                    _count_elements(rcounts, zp(rt, r1, r2))
+                    _count_elements(rcounts, zp(rt, r1, r2, r3))
+                get = rcounts.get
                 m = 0
-                for g in ht if n == 1 else zip(*(ht[i:] for i in range(n))):
+                for g in grams:
                     k = get(g)
                     if k:
                         m += 1
                         rcounts[g] = k - 1
-                matched[n - 1] += m
+            if m == 0:
+                break  # an absent n-gram implies absent higher orders
+            matched[order] += m
     return matched, total, hyp_len, ref_len
 
 
-def _ngram_stats(hyps: Sequence[Sentence], refs: Sequence[Sentence], n_order: int):
+def _ngram_stats_generic(hyps: Sequence[str], refs: Sequence[str], n_order: int):
+    """Counted clipped matching for arbitrary maximum order."""
+    matched = [0] * n_order
+    total = [0] * n_order
+    hyp_len = ref_len = 0
+    for hyp, ref in zip(hyps, refs):
+        ht = hyp.split()
+        rt = ref.split()
+        lh = len(ht)
+        hyp_len += lh
+        ref_len += len(rt)
+        for n in range(1, n_order + 1):
+            if lh < n:
+                break
+            total[n - 1] += lh - n + 1
+        rcounts: dict = {}
+        for n in range(1, n_order + 1):
+            if len(rt) < n:
+                break
+            _count_elements(
+                rcounts, rt if n == 1 else zip(*(rt[i:] for i in range(n)))
+            )
+        get = rcounts.get
+        for n in range(1, n_order + 1):
+            if lh < n:
+                break
+            m = 0
+            for g in ht if n == 1 else zip(*(ht[i:] for i in range(n))):
+                k = get(g)
+                if k:
+                    m += 1
+                    rcounts[g] = k - 1
+            matched[n - 1] += m
+    return matched, total, hyp_len, ref_len
+
+
+def _ngram_stats(hyps: Sequence[str], refs: Sequence[str], n_order: int):
     """(matched, total, hyp_len, ref_len) from the kernel suited to n_order."""
     if n_order == 4:
         return _ngram_stats_order4(hyps, refs)
@@ -255,8 +252,8 @@ def _combine(matched, total, hyp_len, ref_len, n_order, smooth):
 
 
 def corpus_bleu(
-    hypotheses: Sequence[Sentence],
-    references: Sequence[Sentence],
+    hypotheses: Sequence[str],
+    references: Sequence[str],
     n_order: int = 4,
     smooth: bool = False,
 ) -> BleuReport:
@@ -288,9 +285,9 @@ def corpus_bleu(
 
 
 def bucketed_bleu(
-    hypotheses: Sequence[Sentence],
-    references: Sequence[Sentence],
-    sources: Sequence[Sentence],
+    hypotheses: Sequence[str],
+    references: Sequence[str],
+    sources: Sequence[str],
     buckets: BucketSpec,
     n_order: int = 4,
     smooth: bool = False,
@@ -317,7 +314,7 @@ def bucketed_bleu(
         raise ValidationError("bucketed_bleu: empty input")
     if n_order < 1:
         raise ValidationError(f"bucketed_bleu: n_order must be >= 1, got {n_order}")
-    src_lens = np.fromiter((len(s.raw.split()) for s in sources), np.int64, count=len(sources))
+    src_lens = np.fromiter(map(len, map(str.split, sources)), np.int64, count=len(sources))
     if int(src_lens.min()) < 1:
         raise ValidationError("bucketed_bleu: sources must be non-empty sentences")
     idx = np.searchsorted(np.asarray(buckets.bounds), src_lens, side="left")

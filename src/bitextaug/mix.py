@@ -18,20 +18,15 @@ shuffle: +2) so one seed reproduces the whole mix.
 from __future__ import annotations
 
 import hashlib
+import operator
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .augment import AugmentConfig, concat_augment
-from .corpus import (
-    PRNG_ID,
-    Corpus,
-    SentencePair,
-    gc_paused,
-    save_parallel,
-    write_sidecar,
-)
+from .corpus import PRNG_ID, Corpus, Origin, save_parallel, write_sidecar
 from .errors import ValidationError
 from .translate import Direction, TranslatorSpec, back_translate, self_train
 
@@ -108,17 +103,6 @@ def build_mix(
             cfg_pseudo = augment._replace(seed=recipe.seed + 1, target_count=n)
             components.append(concat_augment(pseudo, cfg_pseudo))
 
-    with gc_paused():
-        merged: list[SentencePair] = []
-        for comp in components:
-            merged.extend(comp.pairs)
-        if recipe.shuffle_output:
-            shuffle_seed = recipe.seed + 2 if recipe.shuffle_seed is None else recipe.shuffle_seed
-            rng = np.random.default_rng(shuffle_seed)
-            order = rng.permutation(len(merged))
-            merged = [merged[i] for i in order.tolist()]
-        pairs = [SentencePair(i, p.source, p.target, p.origin) for i, p in enumerate(merged)]
-
     meta = {
         "recipe": recipe.name,
         "base_size": str(n),
@@ -134,7 +118,20 @@ def build_mix(
                 "min_concat_len": str(augment.min_concat_len),
             }
         )
-    return Corpus(pairs, f"{original.name}[{recipe.name}]", original.source_lang, original.target_lang, meta)
+    mixed = Corpus(
+        chain.from_iterable(c.sources for c in components),
+        chain.from_iterable(c.targets for c in components),
+        chain.from_iterable(c.origins for c in components),
+        f"{original.name}[{recipe.name}]",
+        original.source_lang,
+        original.target_lang,
+        meta,
+    )
+    if recipe.shuffle_output:
+        shuffle_seed = recipe.seed + 2 if recipe.shuffle_seed is None else recipe.shuffle_seed
+        order = np.random.default_rng(shuffle_seed).permutation(len(mixed))
+        mixed = mixed.take(order.tolist(), mixed.name, meta)
+    return mixed
 
 
 class MixManifest(NamedTuple):
@@ -146,18 +143,20 @@ class MixManifest(NamedTuple):
 
 def mix_manifest(corpus: Corpus, sep_token: str = "<sep>") -> MixManifest:
     """Per-origin counts, separator-containing pair count, and mean lengths."""
-    per_origin: dict[str, int] = {}
-    length_sums: dict[str, int] = {}
+    token_counts: list[int] = []
     with_sep = 0
-    for p in corpus.pairs:
-        key = p.origin.value
-        per_origin[key] = per_origin.get(key, 0) + 1
-        length_sums[key] = length_sums.get(key, 0) + len(p.source.raw.split())
-        if sep_token in p.source.raw.split():
-            with_sep += 1
-    mean_source_len = {
-        origin: length_sums[origin] / per_origin[origin] for origin in per_origin
-    }
+    for tokens in map(str.split, corpus.sources):
+        token_counts.append(len(tokens))
+        with_sep += sep_token in tokens
+    lens = np.array(token_counts, np.int64)
+    per_origin: dict[str, int] = {}
+    mean_source_len: dict[str, float] = {}
+    for origin in Origin:
+        rows = np.fromiter(map(operator.is_, corpus.origins, repeat(origin)), bool, len(corpus))
+        count = int(rows.sum())
+        if count:
+            per_origin[origin.value] = count
+            mean_source_len[origin.value] = int(lens[rows].sum()) / count
     return MixManifest(
         total=len(corpus),
         per_origin=per_origin,

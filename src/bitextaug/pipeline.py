@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 from .augment import AugmentConfig, DEFAULT_MIN_CONCAT_LEN, DEFAULT_SEP_TOKEN
 from .buckets import BucketSpec, parse_bucket_spec
-from .corpus import Side, load_parallel, read_lines, sample, write_sidecar
+from .corpus import Side, line_problem, load_parallel, read_lines, sample, scan_lines, write_sidecar
 from .errors import PipelineError, ValidationError
 from .metrics import BleuReport, average_runs, bucketed_bleu, report_to_csv
 from .mix import RECIPES, MixRecipe, build_mix, write_mix
@@ -122,7 +122,12 @@ class PipelineConfig:
         return "\n".join(lines) + "\n"
 
     def augment_config(self) -> AugmentConfig:
-        side = Side.SOURCE if self.length_side.lower() == "source" else Side.TARGET
+        try:
+            side = Side(self.length_side.lower())
+        except ValueError:
+            raise ValidationError(
+                f"length_side must be 'source' or 'target', got {self.length_side!r}"
+            ) from None
         return AugmentConfig(
             seed=self.concat_seed,
             sep_token=self.sep_token,
@@ -162,16 +167,14 @@ def _scan_parallel_files(
     for path in (source, target):
         n = 0
         try:
-            with open(path, encoding="utf-8") as f:
-                for lineno, line in enumerate(f, start=1):
-                    n += 1
-                    stripped = line.rstrip("\n")
-                    if not stripped or stripped.isspace():
-                        violations.append(f"{path}:{lineno}: empty sentence")
-                    elif sep_token and sep_token in stripped.split():
-                        violations.append(
-                            f"{path}:{lineno}: contains reserved separator token {sep_token!r}"
-                        )
+            for n, line in enumerate(scan_lines(path), start=1):
+                problem = line_problem(line)
+                if problem is not None:
+                    violations.append(f"{path}:{n}: {problem}")
+                elif sep_token and sep_token in line.split():
+                    violations.append(
+                        f"{path}:{n}: contains reserved separator token {sep_token!r}"
+                    )
         except UnicodeDecodeError as exc:
             violations.append(f"{path}: invalid UTF-8 ({exc})")
             return None
@@ -230,20 +233,44 @@ def cmd_validate(config: PipelineConfig, check_test: bool = True) -> list[str]:
 
 
 class _Lock:
-    """One pipeline per output directory."""
+    """One pipeline per output directory.
+
+    The lock file holds the owner's PID. A lock whose owner no longer
+    exists (a killed run) is broken once; a live owner, an owner of
+    another user, or unreadable content keeps the directory locked.
+    """
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".lock"
         self.fd: Optional[int] = None
 
-    def __enter__(self):
+    def _owner_is_dead(self) -> bool:
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise PipelineError(
-                f"output directory is locked by another run ({self.path}); "
-                "remove the lock file if that run is dead"
-            ) from None
+            pid = int(self.path.read_text(encoding="ascii"))
+        except (OSError, ValueError):
+            return False
+        if pid <= 0:  # 0 and negative PIDs name process groups, not one process
+            return False
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except PermissionError:  # alive, run by another user
+            pass
+        return False
+
+    def __enter__(self):
+        for attempt in (1, 2):
+            try:
+                self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if attempt == 2 or not self._owner_is_dead():
+                    raise PipelineError(
+                        f"output directory is locked by another run ({self.path}); "
+                        "remove the lock file if that run is dead"
+                    ) from None
+                self.path.unlink(missing_ok=True)
         os.write(self.fd, str(os.getpid()).encode())
         return self
 
@@ -309,12 +336,6 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
                 source_lang=config.source_lang,
                 target_lang=config.target_lang,
             )
-            for p in test.pairs:
-                if config.sep_token in p.source.tokens:
-                    raise ValidationError(
-                        f"test pair {p.id}: scored input must be single sentences, "
-                        f"found separator token {config.sep_token!r}"
-                    )
 
             stage = "sample"
             base_size = config.base_size or len(train)
@@ -352,14 +373,13 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
                 )
                 stage = "score"
                 hyps = read_lines(hyp_path)
-                refs = [p.target for p in test.pairs]
-                srcs = [p.source for p in test.pairs]
-                if len(hyps) != len(refs):
+                if len(hyps) != len(test):
                     raise PipelineError(
-                        f"run {seed}: decoder returned {len(hyps)} lines for {len(refs)} test items"
+                        f"run {seed}: decoder returned {len(hyps)} lines for {len(test)} test items"
                     )
                 rep = bucketed_bleu(
-                    hyps, refs, srcs, buckets, n_order=config.n_order, smooth=config.smooth
+                    hyps, test.targets, test.sources, buckets,
+                    n_order=config.n_order, smooth=config.smooth,
                 )
                 (run_dir / "report.csv").write_text(report_to_csv(rep), encoding="utf-8")
                 reports.append(rep)

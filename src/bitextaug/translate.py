@@ -15,9 +15,9 @@ import shlex
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
-from .corpus import Corpus, Origin, Sentence, SentencePair, gc_paused
+from .corpus import Corpus, Origin, line_problem, read_lines, scan_lines
 from .errors import TranslatorError, ValidationError
 
 PathLike = Union[str, Path]
@@ -62,11 +62,7 @@ def _child_env() -> dict[str, str]:
 
 
 def _count_lines(path: Path) -> int:
-    n = 0
-    with open(path, encoding="utf-8") as f:
-        for _ in f:
-            n += 1
-    return n
+    return sum(1 for _ in scan_lines(path))
 
 
 def translate_file(
@@ -125,20 +121,17 @@ def translate_file(
 
 
 def _translated_lines(
-    spec: TranslatorSpec, lines: list[str], workdir: Optional[PathLike], label: str
+    spec: TranslatorSpec, lines: Sequence[str], workdir: Optional[PathLike], label: str
 ) -> list[str]:
     with tempfile.TemporaryDirectory(dir=workdir, prefix="bitextaug-") as td:
         in_path = Path(td) / f"{label}.in"
         with open(in_path, "w", encoding="utf-8", newline="\n") as f:
             f.writelines(line + "\n" for line in lines)
-        out_path = translate_file(spec, in_path, Path(td) / f"{label}.out")
-        with open(out_path, encoding="utf-8") as f:
-            out = [line.rstrip("\n") for line in f]
+        out = read_lines(translate_file(spec, in_path, Path(td) / f"{label}.out"))
     for i, line in enumerate(out):
-        if not line or line.isspace():
-            raise TranslatorError(
-                f"translator {spec.name!r} produced an empty sentence at line {i + 1}"
-            )
+        problem = line_problem(line)
+        if problem is not None:
+            raise TranslatorError(f"translator {spec.name!r} output line {i + 1}: {problem}")
     return out
 
 
@@ -154,16 +147,17 @@ def back_translate(
     _require_original(parallel, "back_translate")
     if backward.direction is not Direction.BACKWARD:
         raise ValidationError("back_translate needs a backward-direction translator")
-    translated = _translated_lines(
-        backward, [p.target.raw for p in parallel.pairs], workdir, "bt"
-    )
-    with gc_paused():
-        pairs = [
-            SentencePair(i, Sentence(src_raw), p.target, Origin.PSEUDO_BT)
-            for i, (p, src_raw) in enumerate(zip(parallel.pairs, translated))
-        ]
+    translated = _translated_lines(backward, parallel.targets, workdir, "bt")
     meta = {"origin": Origin.PSEUDO_BT.value, "translator": backward.name, "base": parallel.name}
-    return Corpus(pairs, f"{parallel.name}+bt", parallel.source_lang, parallel.target_lang, meta)
+    return Corpus(
+        translated,
+        parallel.targets,
+        (Origin.PSEUDO_BT,) * len(parallel),
+        f"{parallel.name}+bt",
+        parallel.source_lang,
+        parallel.target_lang,
+        meta,
+    )
 
 
 def self_train(
@@ -176,23 +170,24 @@ def self_train(
     _require_original(parallel, "self_train")
     if forward.direction is not Direction.FORWARD:
         raise ValidationError("self_train needs a forward-direction translator")
-    translated = _translated_lines(
-        forward, [p.source.raw for p in parallel.pairs], workdir, "st"
-    )
-    with gc_paused():
-        pairs = [
-            SentencePair(i, p.source, Sentence(tgt_raw), Origin.PSEUDO_ST)
-            for i, (p, tgt_raw) in enumerate(zip(parallel.pairs, translated))
-        ]
+    translated = _translated_lines(forward, parallel.sources, workdir, "st")
     meta = {"origin": Origin.PSEUDO_ST.value, "translator": forward.name, "base": parallel.name}
-    return Corpus(pairs, f"{parallel.name}+st", parallel.source_lang, parallel.target_lang, meta)
+    return Corpus(
+        parallel.sources,
+        translated,
+        (Origin.PSEUDO_ST,) * len(parallel),
+        f"{parallel.name}+st",
+        parallel.source_lang,
+        parallel.target_lang,
+        meta,
+    )
 
 
 def _require_original(parallel: Corpus, op: str) -> None:
     if len(parallel) == 0:
         raise ValidationError(f"{op}: empty corpus")
-    bad = {p.origin for p in parallel.pairs} - {Origin.ORIGINAL}
-    if bad:
+    if parallel.origins.count(Origin.ORIGINAL) != len(parallel):
+        bad = set(parallel.origins) - {Origin.ORIGINAL}
         raise ValidationError(
             f"{op} expects an original-origin corpus, found {sorted(o.value for o in bad)}"
         )

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from bitextaug.corpus import Corpus, Origin, Sentence, SentencePair
+from bitextaug.corpus import Corpus, Origin
 
 PYTHON = shlex.quote(sys.executable)
 
@@ -24,7 +24,7 @@ def make_corpus(
 ) -> Corpus:
     """Random corpus with distinct per-pair vocabularies when unique_lines."""
     rng = random.Random(seed)
-    pairs = []
+    sources, targets = [], []
     for i in range(n):
         k = rng.randint(min_len, max_len)
         if unique_lines:
@@ -33,15 +33,24 @@ def make_corpus(
         else:
             src = " ".join(f"w{rng.randint(0, 30)}" for _ in range(k))
             tgt = " ".join(f"v{rng.randint(0, 30)}" for _ in range(k))
-        pairs.append(SentencePair(i, Sentence(src), Sentence(tgt), origin))
-    return Corpus(pairs, name=name)
+        sources.append(src)
+        targets.append(tgt)
+    return Corpus(sources, targets, [origin] * n, name=name)
+
+
+def corpus_of(pairs, **kwargs) -> Corpus:
+    """Corpus holding the given SentencePair rows."""
+    pairs = list(pairs)
+    return Corpus(
+        [p.source for p in pairs], [p.target for p in pairs], [p.origin for p in pairs], **kwargs
+    )
 
 
 def write_pair_files(tmp_path, corpus: Corpus, prefix: str = "corpus"):
     src = tmp_path / f"{prefix}.src"
     tgt = tmp_path / f"{prefix}.tgt"
-    src.write_text("".join(p.source.raw + "\n" for p in corpus.pairs), encoding="utf-8")
-    tgt.write_text("".join(p.target.raw + "\n" for p in corpus.pairs), encoding="utf-8")
+    src.write_text("".join(line + "\n" for line in corpus.sources), encoding="utf-8")
+    tgt.write_text("".join(line + "\n" for line in corpus.targets), encoding="utf-8")
     return src, tgt
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from bitextaug.augment import AugmentConfig, concat_augment
-from bitextaug.corpus import Sentence, load_parallel
+from bitextaug.corpus import load_parallel
 from bitextaug.metrics import corpus_bleu
 
 N_PAIRS = 1_000_000
@@ -75,9 +75,9 @@ def main() -> int:
     for line, pos, rep in zip(tgt_lines, positions, replacements):
         toks = line.split()
         toks[pos] = rep
-        append(Sentence(" ".join(toks)))
+        append(" ".join(toks))
     del tgt_lines
-    refs = [p.target for p in pool.pairs]
+    refs = pool.targets
 
     start = time.perf_counter()
     report = corpus_bleu(hyps, refs)

@@ -13,7 +13,7 @@ import pytest
 
 from bitextaug.augment import AugmentConfig, concat_augment
 from bitextaug.buckets import EXTENDED_BUCKETS, PAIRWISE_BUCKETS, STANDARD_BUCKETS
-from bitextaug.corpus import Corpus, Origin, Sentence
+from bitextaug.corpus import Corpus, Origin
 from bitextaug.metrics import (
     BleuReport,
     BucketScore,
@@ -53,10 +53,6 @@ def criterion(number, description, budget_seconds):
         return wrapper
 
     return decorate
-
-
-def sents(lines):
-    return [Sentence(line) for line in lines]
 
 
 @criterion(1, "corpus BLEU matches brute-force oracle within 1e-9", 1.0)
@@ -99,14 +95,14 @@ def test_01_bleu_oracle_equivalence():
     assert len(fixtures) >= 10
     for i, (hyps, refs) in enumerate(fixtures):
         assert len(hyps) <= 20
-        got = corpus_bleu(sents(hyps), sents(refs)).overall
+        got = corpus_bleu(hyps, refs).overall
         want = oracle_bleu([h.split() for h in hyps], [r.split() for r in refs])
         assert abs(got - want) < 1e-9, f"fixture {i}: {got} vs oracle {want}"
     # frozen hand-checked anchors
-    assert corpus_bleu(sents(fixtures[0][0]), sents(fixtures[0][1])).overall == 100.0
-    assert corpus_bleu(sents(["the the the the the the the"]), sents(["the cat is on the mat"])).overall == 0.0
+    assert corpus_bleu(fixtures[0][0], fixtures[0][1]).overall == 100.0
+    assert corpus_bleu(["the the the the the the the"], ["the cat is on the mat"]).overall == 0.0
     assert corpus_bleu(
-        sents(["a b c d e", "g h i j k"]), sents(["a b c d e f", "g h i j k l"])
+        ["a b c d e", "g h i j k"], ["a b c d e f", "g h i j k l"]
     ).overall == pytest.approx(81.87307530779819, abs=1e-9)
 
 
@@ -119,8 +115,7 @@ def test_02_bleu_identity():
         lines = [
             " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 30))) for _ in range(n)
         ]
-        h = sents(lines)
-        assert corpus_bleu(h, h).overall == 100.0
+        assert corpus_bleu(lines, lines).overall == 100.0
 
 
 @criterion(3, "concatenation invariants over >= 1000 generated cases", 10.0)
@@ -141,14 +136,14 @@ def test_03_concat_invariants():
         rerun = concat_augment(pool, cfg)
         assert out == rerun, f"scenario {scenario}: rerun not bit-identical"
         assert len(out) == target
-        by_source = {p.source.raw: p.target.raw for p in pool.pairs}
-        for p in out.pairs:
-            src_toks = p.source.tokens
-            tgt_toks = p.target.tokens
+        by_source = {p.source: p.target for p in pool}
+        for p in out:
+            src_toks = p.source.split()
+            tgt_toks = p.target.split()
             assert src_toks.count("<sep>") == 1
             assert tgt_toks.count("<sep>") == 1
-            s_first, s_second = p.source.raw.split(" <sep> ")
-            t_first, t_second = p.target.raw.split(" <sep> ")
+            s_first, s_second = p.source.split(" <sep> ")
+            t_first, t_second = p.target.split(" <sep> ")
             assert by_source[s_first] == t_first, "first halves misaligned"
             assert by_source[s_second] == t_second, "second halves misaligned"
             assert len(src_toks) - 1 >= min_len
@@ -185,13 +180,13 @@ def test_05_bt_st_side_preservation():
     corpus = make_corpus(1000, seed=77, min_len=4, max_len=25)
     bt = back_translate(corpus, mock_spec("reverse", Direction.BACKWARD))
     assert len(bt) == len(corpus)
-    for orig, new in zip(corpus.pairs, bt.pairs):
-        assert new.target.raw == orig.target.raw  # byte-identical target
+    for orig, new in zip(corpus, bt):
+        assert new.target == orig.target  # byte-identical target
         assert new.origin is Origin.PSEUDO_BT
     st = self_train(corpus, mock_spec("reverse", Direction.FORWARD))
     assert len(st) == len(corpus)
-    for orig, new in zip(corpus.pairs, st.pairs):
-        assert new.source.raw == orig.source.raw  # byte-identical source
+    for orig, new in zip(corpus, st):
+        assert new.source == orig.source  # byte-identical source
         assert new.origin is Origin.PSEUDO_ST
 
 
@@ -228,8 +223,8 @@ def test_06_bucket_counts_fixture():
         lengths.extend(bucket_lengths)
     rng.shuffle(lengths)
     assert len(lengths) == 1812
-    srcs = sents([" ".join(["s"] * k) for k in lengths])
-    hyps = refs = sents(["a b c"] * len(lengths))
+    srcs = [" ".join(["s"] * k) for k in lengths]
+    hyps = refs = ["a b c"] * len(lengths)
     report = bucketed_bleu(hyps, refs, srcs, STANDARD_BUCKETS)
     got = {label: bs.count for label, bs in report.per_bucket.items()}
     assert got == EXPECTED_BUCKET_COUNTS
@@ -325,12 +320,12 @@ def test_09_end_to_end_determinism(tmp_path):
     base = make_corpus(60, seed=405, min_len=2, max_len=40, unique_lines=False)
     rng = random.Random(406)
     test = Corpus(
+        base.sources,
         [
-            p._replace(target=Sentence(" ".join(
-                t if rng.random() < 0.8 else f"v{rng.randint(0, 30)}" for t in p.source.tokens
-            )))
-            for p in base.pairs
+            " ".join(t if rng.random() < 0.8 else f"v{rng.randint(0, 30)}" for t in line.split())
+            for line in base.sources
         ],
+        base.origins,
         name=base.name,
     )
     train_src, train_tgt = write_pair_files(tmp_path, train, prefix="train")

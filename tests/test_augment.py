@@ -1,28 +1,28 @@
 import pytest
 
 from bitextaug.augment import AugmentConfig, concat_augment, concat_pair, measure_concat_mean
-from bitextaug.corpus import Corpus, Origin, Sentence, SentencePair, Side
+from bitextaug.corpus import Corpus, Origin, SentencePair, Side
 from bitextaug.errors import AugmentationError, ValidationError
 
-from conftest import make_corpus
+from conftest import corpus_of, make_corpus
 
 
-def pair(src, tgt, origin=Origin.ORIGINAL, pid=0):
-    return SentencePair(pid, Sentence(src), Sentence(tgt), origin)
+def pair(src, tgt, origin=Origin.ORIGINAL):
+    return SentencePair(src, tgt, origin)
 
 
 class TestConcatPair:
     def test_basic(self):
         out = concat_pair(pair("a b c", "x y"), pair("d e", "z"))
-        assert out.source.raw == "a b c <sep> d e"
-        assert out.target.raw == "x y <sep> z"
+        assert out.source == "a b c <sep> d e"
+        assert out.target == "x y <sep> z"
         assert out.origin is Origin.CONCAT
 
     def test_pair_with_itself_allowed_at_this_level(self):
         p = pair("p", "q")
         out = concat_pair(p, p)
-        assert out.source.raw == "p <sep> p"
-        assert out.target.raw == "q <sep> q"
+        assert out.source == "p <sep> p"
+        assert out.target == "q <sep> q"
 
     def test_already_concatenated_rejected(self):
         c = concat_pair(pair("a", "x"), pair("b", "y"))
@@ -35,7 +35,7 @@ class TestConcatPair:
 
     def test_custom_separator(self):
         out = concat_pair(pair("a", "x"), pair("b", "y"), sep="<join>")
-        assert out.source.raw == "a <join> b"
+        assert out.source == "a <join> b"
 
 
 class TestAugmentConfig:
@@ -59,10 +59,10 @@ class TestConcatAugment:
         cfg = AugmentConfig(seed=9, target_count=1000, min_concat_len=25)
         out = concat_augment(pool, cfg)
         assert len(out) == 1000
-        for p in out.pairs:
-            assert p.source.tokens.count("<sep>") == 1
-            assert p.target.tokens.count("<sep>") == 1
-            assert len(p.source.tokens) - 1 >= 26
+        for p in out:
+            assert p.source.split().count("<sep>") == 1
+            assert p.target.split().count("<sep>") == 1
+            assert len(p.source.split()) - 1 >= 26
             assert p.origin is Origin.CONCAT
         assert out.meta["rejected_short"] == "0"
 
@@ -75,38 +75,38 @@ class TestConcatAugment:
     def test_draw_budget_exhaustion(self):
         # threshold reachable only through the single longest pair, so the
         # acceptance rate is too low for the budget
-        pairs = [pair(" ".join(["w"] * 3), "x y z", pid=i) for i in range(30)]
-        pairs.append(pair(" ".join(["w"] * 30), " ".join(["v"] * 30), pid=30))
-        pool = Corpus(pairs)
+        pairs = [pair(" ".join(["w"] * 3), "x y z") for _ in range(30)]
+        pairs.append(pair(" ".join(["w"] * 30), " ".join(["v"] * 30)))
+        pool = corpus_of(pairs)
         cfg = AugmentConfig(seed=1, target_count=5000, min_concat_len=32, max_attempts_factor=2)
         with pytest.raises(AugmentationError, match="within"):
             concat_augment(pool, cfg)
 
     def test_pool_too_small(self):
-        pool = Corpus([pair("a b", "x y")])
+        pool = corpus_of([pair("a b", "x y")])
         with pytest.raises(ValidationError, match="at least 2"):
             concat_augment(pool, AugmentConfig(seed=0, target_count=1))
 
     def test_mixed_origin_pool_rejected(self):
         pairs = [
-            pair("a b", "x y", Origin.ORIGINAL, 0),
-            pair("c d", "z w", Origin.PSEUDO_BT, 1),
+            pair("a b", "x y", Origin.ORIGINAL),
+            pair("c d", "z w", Origin.PSEUDO_BT),
         ]
         with pytest.raises(ValidationError, match="homogeneous"):
-            concat_augment(Corpus(pairs), AugmentConfig(seed=0, target_count=1, min_concat_len=0))
+            concat_augment(corpus_of(pairs), AugmentConfig(seed=0, target_count=1, min_concat_len=0))
 
     def test_concatenated_pool_rejected(self):
         pairs = [
-            concat_pair(pair("a", "x"), pair("b", "y"), pair_id=0),
-            concat_pair(pair("c", "z"), pair("d", "w"), pair_id=1),
+            concat_pair(pair("a", "x"), pair("b", "y")),
+            concat_pair(pair("c", "z"), pair("d", "w")),
         ]
         with pytest.raises(ValidationError, match="must not itself be concatenated"):
-            concat_augment(Corpus(pairs), AugmentConfig(seed=0, target_count=1, min_concat_len=0))
+            concat_augment(corpus_of(pairs), AugmentConfig(seed=0, target_count=1, min_concat_len=0))
 
     def test_separator_in_pool_rejected(self):
-        pairs = [pair("a <sep> b", "x", pid=0), pair("c", "y", pid=1)]
+        pairs = [pair("a <sep> b", "x"), pair("c", "y")]
         with pytest.raises(ValidationError, match="reserved separator"):
-            concat_augment(Corpus(pairs), AugmentConfig(seed=0, target_count=1, min_concat_len=0))
+            concat_augment(corpus_of(pairs), AugmentConfig(seed=0, target_count=1, min_concat_len=0))
 
     def test_deterministic_under_seed(self):
         pool = make_corpus(100, seed=5, min_len=8, max_len=25)
@@ -121,12 +121,12 @@ class TestConcatAugment:
 
     def test_halves_recovered_from_pool_with_aligned_provenance(self):
         pool = make_corpus(60, seed=21, min_len=6, max_len=18)
-        by_source = {p.source.raw: p.target.raw for p in pool.pairs}
+        by_source = {p.source: p.target for p in pool}
         cfg = AugmentConfig(seed=2, target_count=400, min_concat_len=12)
         out = concat_augment(pool, cfg)
-        for p in out.pairs:
-            s_first, s_second = p.source.raw.split(" <sep> ")
-            t_first, t_second = p.target.raw.split(" <sep> ")
+        for p in out:
+            s_first, s_second = p.source.split(" <sep> ")
+            t_first, t_second = p.target.split(" <sep> ")
             assert by_source[s_first] == t_first
             assert by_source[s_second] == t_second
 
@@ -134,8 +134,8 @@ class TestConcatAugment:
         # distinct indices: with unique lines, halves can never be equal
         pool = make_corpus(10, seed=2, min_len=4, max_len=6)
         out = concat_augment(pool, AugmentConfig(seed=0, target_count=300, min_concat_len=0))
-        for p in out.pairs:
-            first, second = p.source.raw.split(" <sep> ")
+        for p in out:
+            first, second = p.source.split(" <sep> ")
             assert first != second
 
     def test_target_count_zero(self):
@@ -145,20 +145,20 @@ class TestConcatAugment:
 
     def test_length_side_target(self):
         pairs = [
-            pair(" ".join(["s"] * 3), " ".join(["t"] * 20), pid=0),
-            pair(" ".join(["s"] * 3), " ".join(["t"] * 20), pid=1),
+            pair(" ".join(["s"] * 3), " ".join(["t"] * 20)),
+            pair(" ".join(["s"] * 3), " ".join(["t"] * 20)),
         ]
-        pool = Corpus(pairs)
+        pool = corpus_of(pairs)
         cfg = AugmentConfig(seed=0, target_count=5, min_concat_len=30, length_side=Side.TARGET)
         out = concat_augment(pool, cfg)  # target side 40 >= 30 even though source is 6
         assert len(out) == 5
 
     def test_count_sep_in_length(self):
         pairs = [
-            pair(" ".join(["s"] * 12), "t", pid=0),
-            pair(" ".join(["s"] * 12), "t", pid=1),
+            pair(" ".join(["s"] * 12), "t"),
+            pair(" ".join(["s"] * 12), "t"),
         ]
-        pool = Corpus(pairs)
+        pool = corpus_of(pairs)
         # 12 + 12 = 24 < 25 without the separator, 25 with it
         with pytest.raises(AugmentationError):
             concat_augment(pool, AugmentConfig(seed=0, target_count=1, min_concat_len=25))
@@ -171,29 +171,24 @@ class TestConcatAugment:
 
 class TestMeasureConcatMean:
     def test_separator_excluded_by_default(self):
-        corpus = Corpus([pair("a b <sep> c", "x", Origin.CONCAT)])
+        corpus = corpus_of([pair("a b <sep> c", "x", Origin.CONCAT)])
         assert measure_concat_mean(corpus) == 3.0
 
     def test_separator_counted_when_asked(self):
-        corpus = Corpus([pair("a b <sep> c", "x", Origin.CONCAT)])
+        corpus = corpus_of([pair("a b <sep> c", "x", Origin.CONCAT)])
         cfg = AugmentConfig(seed=0, count_sep_in_length=True)
         assert measure_concat_mean(corpus, cfg) == 4.0
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
-            measure_concat_mean(Corpus([]))
+            measure_concat_mean(Corpus([], [], []))
 
     def test_matches_brute_force_on_mixture(self):
         pool = make_corpus(80, seed=13, min_len=8, max_len=30)
         out = concat_augment(pool, AugmentConfig(seed=4, target_count=300, min_concat_len=25))
-        merged = Corpus(
-            [
-                SentencePair(i, p.source, p.target, p.origin)
-                for i, p in enumerate(list(pool.pairs) + list(out.pairs))
-            ]
-        )
+        merged = corpus_of(list(pool) + list(out))
         got = measure_concat_mean(merged)
         brute = sum(
-            len([t for t in p.source.raw.split() if t != "<sep>"]) for p in merged
+            len([t for t in p.source.split() if t != "<sep>"]) for p in merged
         ) / len(merged)
         assert got == pytest.approx(brute, abs=1e-12)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from bitextaug.cli import main
@@ -46,6 +50,37 @@ class TestValidate:
         assert code == 1
         assert "line-count mismatch 3 vs 2" in out
 
+    def test_carriage_return_inside_a_line_names_it(self, tmp_path, capsys):
+        # a lone CR does not end a line: each file holds 2 lines, not 3
+        for name in ("cr.src", "cr.tgt"):
+            (tmp_path / name).write_bytes(b"a\rb c\nd e\n")
+        code = main(
+            ["validate", "--source", str(tmp_path / "cr.src"), "--target", str(tmp_path / "cr.tgt")]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "cr.src:1: carriage return" in out
+        assert "cr.tgt:1: carriage return" in out
+        assert "mismatch" not in out
+
+    def test_crlf_files_are_clean(self, tmp_path, capsys):
+        for name in ("crlf.src", "crlf.tgt"):
+            (tmp_path / name).write_bytes(b"a b\r\nc d\r\n")
+        code = main(
+            ["validate", "--source", str(tmp_path / "crlf.src"), "--target", str(tmp_path / "crlf.tgt")]
+        )
+        assert code == 0
+        assert "ok" in capsys.readouterr().out
+
+    def test_misspelled_length_side_is_a_violation(self, train_files, capsys):
+        src, tgt = train_files
+        code = main(
+            ["validate", "--source", str(src), "--target", str(tgt), "--length-side", "soruce"]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "length_side" in out and "soruce" in out
+
     def test_bad_translator_template(self, train_files, capsys):
         src, tgt = train_files
         code = main(
@@ -85,7 +120,7 @@ class TestDataCommands:
         train = load_parallel(tmp_path / "splitdir" / "train.src", tmp_path / "splitdir" / "train.tgt")
         heldout = load_parallel(tmp_path / "splitdir" / "heldout.src", tmp_path / "splitdir" / "heldout.tgt")
         assert len(train) == 40 and len(heldout) == 20
-        assert {p.source.raw for p in train}.isdisjoint({p.source.raw for p in heldout})
+        assert {p.source for p in train}.isdisjoint({p.source for p in heldout})
 
     def test_concat(self, train_files, tmp_path):
         src, tgt = train_files
@@ -97,7 +132,7 @@ class TestDataCommands:
         assert code == 0
         out = load_parallel(tmp_path / "cc.src", tmp_path / "cc.tgt")
         assert len(out) == 80
-        assert all("<sep>" in p.source.tokens for p in out)
+        assert all("<sep>" in p.source.split() for p in out)
         sidecar = read_sidecar(tmp_path / "cc.meta")
         assert sidecar["target_count"] == "80"
 
@@ -108,7 +143,7 @@ class TestDataCommands:
              "--backward-cmd", mock_cmd("identity"), "--out-prefix", str(tmp_path / "bt")]
         )
         bt = load_parallel(tmp_path / "bt.src", tmp_path / "bt.tgt")
-        assert [p.target.raw for p in bt] == [
+        assert [p.target for p in bt] == [
             line for line in tgt.read_text(encoding="utf-8").splitlines()
         ]
         assert 0 == main(
@@ -116,7 +151,7 @@ class TestDataCommands:
              "--forward-cmd", mock_cmd("reverse"), "--out-prefix", str(tmp_path / "st")]
         )
         st = load_parallel(tmp_path / "st.src", tmp_path / "st.tgt")
-        assert [p.source.raw for p in st] == [
+        assert [p.source for p in st] == [
             line for line in src.read_text(encoding="utf-8").splitlines()
         ]
 
@@ -291,8 +326,29 @@ class TestRun:
     def test_lock_blocks_concurrent_runs(self, tmp_path, train_files, test_files, capsys):
         out_dir = tmp_path / "locked"
         out_dir.mkdir()
-        (out_dir / ".lock").write_text("12345", encoding="utf-8")
+        (out_dir / ".lock").write_text(str(os.getpid()), encoding="utf-8")  # a live owner
         code = main(self.run_args(tmp_path, train_files, test_files, "locked", recipe="vanilla"))
+        assert code == 2
+        assert "locked by another run" in capsys.readouterr().err
+
+    def test_lock_of_dead_run_is_broken(self, tmp_path, train_files, test_files, capsys):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: its PID names no process now
+        out_dir = tmp_path / "killed"
+        out_dir.mkdir()
+        (out_dir / ".lock").write_text(str(child.pid), encoding="utf-8")
+        (out_dir / ".work").mkdir()  # what the killed run had staged
+        code = main(self.run_args(tmp_path, train_files, test_files, "killed", recipe="vanilla"))
+        assert code == 0
+        assert not (out_dir / ".lock").exists()
+        assert [q.name for q in (out_dir / "quarantine").iterdir()] == ["0001-stale"]
+        assert (out_dir / "report" / "averaged.csv").is_file()
+
+    def test_unparsable_lock_still_blocks(self, tmp_path, train_files, test_files, capsys):
+        out_dir = tmp_path / "garbled"
+        out_dir.mkdir()
+        (out_dir / ".lock").write_text("not a pid", encoding="utf-8")
+        code = main(self.run_args(tmp_path, train_files, test_files, "garbled", recipe="vanilla"))
         assert code == 2
         assert "locked by another run" in capsys.readouterr().err
 

@@ -1,22 +1,22 @@
 import pytest
 
-from bitextaug.buckets import STANDARD_BUCKETS, BucketSpec
+from bitextaug.buckets import STANDARD_BUCKETS
 from bitextaug.corpus import (
     Corpus,
     Origin,
-    Sentence,
     SentencePair,
     Side,
     holdout_split,
     length_stats,
     load_parallel,
+    read_lines,
     sample,
     save_parallel,
     validate_corpus,
 )
 from bitextaug.errors import CorpusFormatError, ValidationError
 
-from conftest import make_corpus
+from conftest import corpus_of, make_corpus
 
 
 class TestLoadParallel:
@@ -25,10 +25,9 @@ class TestLoadParallel:
         (tmp_path / "a.tgt").write_text("x\ny z\n", encoding="utf-8")
         corpus = load_parallel(tmp_path / "a.src", tmp_path / "a.tgt")
         assert len(corpus) == 2
-        assert corpus[0].source.raw == "a b"
-        assert corpus[0].target.raw == "x"
-        assert corpus[0].source.tokens == ["a", "b"]
-        assert corpus[1].id == 1
+        assert corpus[0].source == "a b"
+        assert corpus[0].target == "x"
+        assert corpus[0].source.split() == ["a", "b"]
         assert all(p.origin is Origin.ORIGINAL for p in corpus)
 
     def test_line_count_mismatch_reports_both_counts(self, tmp_path):
@@ -65,7 +64,43 @@ class TestLoadParallel:
         (tmp_path / "a.src").write_text("a b\nc d", encoding="utf-8")
         (tmp_path / "a.tgt").write_text("x\ny", encoding="utf-8")
         corpus = load_parallel(tmp_path / "a.src", tmp_path / "a.tgt")
-        assert [p.source.raw for p in corpus] == ["a b", "c d"]
+        assert [p.source for p in corpus] == ["a b", "c d"]
+
+
+    def test_lone_carriage_return_is_an_error_not_a_line_break(self, tmp_path):
+        # two lines per file; the first keeps a CR that must not split it
+        (tmp_path / "a.src").write_bytes(b"a\rb c\nd e\n")
+        (tmp_path / "a.tgt").write_bytes(b"a\rb c\nd e\n")
+        with pytest.raises(CorpusFormatError, match=r"a\.src:1: carriage return"):
+            load_parallel(tmp_path / "a.src", tmp_path / "a.tgt")
+
+    def test_crlf_line_endings_are_stripped(self, tmp_path):
+        (tmp_path / "a.src").write_bytes(b"a b\r\nc\r\n")
+        (tmp_path / "a.tgt").write_bytes(b"x\ny z\n")
+        corpus = load_parallel(tmp_path / "a.src", tmp_path / "a.tgt")
+        assert corpus.sources == ("a b", "c")
+        assert corpus.targets == ("x", "y z")
+
+
+class TestReadLines:
+    def test_lone_carriage_return_stays_inside_its_line(self, tmp_path):
+        (tmp_path / "hyp.txt").write_bytes(b"a\rb c\nd e\n")
+        assert read_lines(tmp_path / "hyp.txt") == ["a\rb c", "d e"]
+
+    def test_crlf_and_empty_lines(self, tmp_path):
+        (tmp_path / "hyp.txt").write_bytes(b"a b\r\n\r\n\nc")
+        assert read_lines(tmp_path / "hyp.txt") == ["a b", "", "", "c"]
+
+
+class TestCorpusColumns:
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValidationError, match="columns differ in length"):
+            Corpus(["a", "b"], ["x"], [Origin.ORIGINAL, Origin.ORIGINAL])
+
+    def test_rows_view(self):
+        corpus = Corpus(["a", "b"], ["x", "y"], [Origin.ORIGINAL, Origin.CONCAT])
+        assert corpus[1] == SentencePair("b", "y", Origin.CONCAT)
+        assert list(corpus) == [corpus[0], corpus[1]]
 
 
 class TestRoundTrip:
@@ -75,7 +110,7 @@ class TestRoundTrip:
         again = load_parallel(src, tgt)
         assert again == small_corpus
         # byte-identical raw lines
-        assert [p.source.raw for p in again] == [p.source.raw for p in small_corpus]
+        assert [p.source for p in again] == [p.source for p in small_corpus]
 
     def test_save_is_lf_terminated(self, tmp_path, small_corpus):
         src, tgt = tmp_path / "out.src", tmp_path / "out.tgt"
@@ -90,23 +125,34 @@ class TestValidateCorpus:
         assert validate_corpus(small_corpus, sep_token="<sep>") == []
 
     def test_separator_in_plain_pair_flagged(self):
-        pairs = [SentencePair(0, Sentence("a <sep> b"), Sentence("x"), Origin.ORIGINAL)]
-        problems = validate_corpus(Corpus(pairs), sep_token="<sep>")
+        pairs = [SentencePair("a <sep> b", "x", Origin.ORIGINAL)]
+        problems = validate_corpus(corpus_of(pairs), sep_token="<sep>")
         assert any("separator" in p for p in problems)
 
+    def test_line_breaks_flagged(self):
+        # neither line survives save_parallel then load_parallel
+        corpus = corpus_of(
+            [SentencePair("a\rb", "x", Origin.ORIGINAL), SentencePair("c", "y\nz", Origin.ORIGINAL)]
+        )
+        problems = validate_corpus(corpus)
+        assert problems == [
+            "pair 0: source contains a newline or carriage return",
+            "pair 1: target contains a newline or carriage return",
+        ]
+
     def test_concat_pair_needs_exactly_one_separator(self):
-        pairs = [SentencePair(0, Sentence("a b"), Sentence("x <sep> y"), Origin.CONCAT)]
-        problems = validate_corpus(Corpus(pairs), sep_token="<sep>")
+        pairs = [SentencePair("a b", "x <sep> y", Origin.CONCAT)]
+        problems = validate_corpus(corpus_of(pairs), sep_token="<sep>")
         assert any("source has 0 separator" in p for p in problems)
 
 
 class TestLengthStats:
     def test_simple_mean_and_histogram(self):
         pairs = [
-            SentencePair(0, Sentence(" ".join(["w"] * 10)), Sentence("x"), Origin.ORIGINAL),
-            SentencePair(1, Sentence(" ".join(["w"] * 20)), Sentence("x"), Origin.ORIGINAL),
+            SentencePair(" ".join(["w"] * 10), "x", Origin.ORIGINAL),
+            SentencePair(" ".join(["w"] * 20), "x", Origin.ORIGINAL),
         ]
-        stats = length_stats(Corpus(pairs), STANDARD_BUCKETS)
+        stats = length_stats(corpus_of(pairs), STANDARD_BUCKETS)
         assert stats.count == 2
         assert stats.mean_source_len == 15.0
         assert stats.histogram["1-10"] == 1
@@ -114,25 +160,20 @@ class TestLengthStats:
         assert sum(stats.histogram.values()) == 2
 
     def test_single_pair(self):
-        pairs = [SentencePair(0, Sentence(" ".join(["w"] * 30)), Sentence("x"), Origin.ORIGINAL)]
-        assert length_stats(Corpus(pairs), STANDARD_BUCKETS).mean_source_len == 30.0
+        pairs = [SentencePair(" ".join(["w"] * 30), "x", Origin.ORIGINAL)]
+        assert length_stats(corpus_of(pairs), STANDARD_BUCKETS).mean_source_len == 30.0
 
     def test_merged_corpus_mean_matches_brute_force(self):
         # weighted-mean law checked against a recount over every line
         c1 = make_corpus(17, seed=1, min_len=4, max_len=30)
         c2 = make_corpus(29, seed=2, min_len=10, max_len=50)
-        merged = Corpus(
-            [
-                SentencePair(i, p.source, p.target, p.origin)
-                for i, p in enumerate(list(c1.pairs) + list(c2.pairs))
-            ]
-        )
+        merged = corpus_of(list(c1) + list(c2))
         stats = length_stats(merged, STANDARD_BUCKETS)
         n1, n2 = len(c1), len(c2)
         m1 = length_stats(c1, STANDARD_BUCKETS).mean_source_len
         m2 = length_stats(c2, STANDARD_BUCKETS).mean_source_len
         assert stats.mean_source_len == pytest.approx((n1 * m1 + n2 * m2) / (n1 + n2), abs=1e-12)
-        brute = sum(len(p.source.raw.split()) for p in merged) / len(merged)
+        brute = sum(len(p.source.split()) for p in merged) / len(merged)
         assert stats.mean_source_len == pytest.approx(brute, abs=1e-12)
 
     def test_histogram_covers_all_lengths_with_open_spec(self):
@@ -141,13 +182,13 @@ class TestLengthStats:
         assert sum(stats.histogram.values()) == len(corpus)
 
     def test_target_side(self):
-        pairs = [SentencePair(0, Sentence("a"), Sentence("x y z"), Origin.ORIGINAL)]
-        stats = length_stats(Corpus(pairs), STANDARD_BUCKETS, side=Side.TARGET)
+        pairs = [SentencePair("a", "x y z", Origin.ORIGINAL)]
+        stats = length_stats(corpus_of(pairs), STANDARD_BUCKETS, side=Side.TARGET)
         assert stats.mean_source_len == 3.0
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
-            length_stats(Corpus([]), STANDARD_BUCKETS)
+            length_stats(Corpus([], [], []), STANDARD_BUCKETS)
 
 
 class TestSample:
@@ -172,31 +213,26 @@ class TestSample:
     def test_order_preserved(self):
         corpus = make_corpus(200, seed=4)
         out = sample(corpus, 50, seed=9)
-        raws = [p.source.raw for p in out]
-        positions = [[p.source.raw for p in corpus].index(r) for r in raws]
+        raws = [p.source for p in out]
+        positions = [[p.source for p in corpus].index(r) for r in raws]
         assert positions == sorted(positions)
-
-    def test_ids_renumbered(self):
-        corpus = make_corpus(30, seed=4)
-        out = sample(corpus, 10, seed=1)
-        assert [p.id for p in out] == list(range(10))
 
 
 class TestHoldoutSplit:
     def test_disjoint_cover(self):
         corpus = make_corpus(10, seed=6)
         train, heldout = holdout_split(corpus, 6, 4, seed=2)
-        train_lines = {p.source.raw for p in train}
-        held_lines = {p.source.raw for p in heldout}
+        train_lines = {p.source for p in train}
+        held_lines = {p.source for p in heldout}
         assert len(train) == 6 and len(heldout) == 4
         assert train_lines.isdisjoint(held_lines)
-        assert train_lines | held_lines == {p.source.raw for p in corpus}
+        assert train_lines | held_lines == {p.source for p in corpus}
 
     def test_full_train_empty_test(self):
         corpus = make_corpus(12, seed=6)
         train, heldout = holdout_split(corpus, len(corpus), 0, seed=2)
         assert len(heldout) == 0
-        assert {p.source.raw for p in train} == {p.source.raw for p in corpus}
+        assert {p.source for p in train} == {p.source for p in corpus}
 
     def test_insufficient_corpus(self):
         corpus = make_corpus(5, seed=6)
@@ -212,9 +248,9 @@ class TestHoldoutSplit:
     def test_union_subset_of_input(self):
         corpus = make_corpus(50, seed=8)
         train, heldout = holdout_split(corpus, 20, 10, seed=5)
-        all_lines = {p.source.raw for p in corpus}
-        assert {p.source.raw for p in train} <= all_lines
-        assert {p.source.raw for p in heldout} <= all_lines
+        all_lines = {p.source for p in corpus}
+        assert {p.source for p in train} <= all_lines
+        assert {p.source for p in heldout} <= all_lines
 
     def test_large_split_ratio_shape(self):
         # intended large-scale use splits 2M pairs into 400K train + 1M
@@ -223,19 +259,4 @@ class TestHoldoutSplit:
         train, heldout = holdout_split(corpus, 400, 1000, seed=3)
         assert len(train) == 400
         assert len(heldout) == 1000
-        assert {p.id for p in train} == set(range(400))
 
-
-class TestSentence:
-    def test_tokens_are_whitespace_split(self):
-        s = Sentence("a  b\tc")
-        assert s.tokens == ["a", "b", "c"]
-        assert s.token_count() == 3
-
-    def test_bucket_spec_rejects_bad_bounds(self):
-        with pytest.raises(ValidationError):
-            BucketSpec.from_bounds([10, 10])
-        with pytest.raises(ValidationError):
-            BucketSpec.from_bounds([20, 10])
-        with pytest.raises(ValidationError):
-            BucketSpec.from_bounds([])

@@ -3,8 +3,13 @@ import random
 
 import pytest
 
-from bitextaug.buckets import EXTENDED_BUCKETS, PAIRWISE_BUCKETS, STANDARD_BUCKETS, parse_bucket_spec
-from bitextaug.corpus import Sentence
+from bitextaug.buckets import (
+    EXTENDED_BUCKETS,
+    PAIRWISE_BUCKETS,
+    STANDARD_BUCKETS,
+    BucketSpec,
+    parse_bucket_spec,
+)
 from bitextaug.errors import ValidationError
 from bitextaug.metrics import (
     BleuReport,
@@ -25,10 +30,6 @@ from bitextaug.metrics import _ngram_stats_generic, _ngram_stats_order4
 from oracle import oracle_bleu
 
 
-def sents(lines):
-    return [Sentence(line) for line in lines]
-
-
 def random_corpus(rng, n, vocab, min_len=1, max_len=18):
     out = []
     for _ in range(n):
@@ -39,12 +40,12 @@ def random_corpus(rng, n, vocab, min_len=1, max_len=18):
 
 class TestCorpusBleuExamples:
     def test_perfect_match_is_100(self):
-        h = sents(["the quick brown fox jumps over the lazy dog", "machine translation of long sentences"])
+        h = ["the quick brown fox jumps over the lazy dog", "machine translation of long sentences"]
         assert corpus_bleu(h, h).overall == 100.0
 
     def test_clipped_repetition_scores_zero(self):
         # clipped unigram precision 2/7, bigram precision 0 -> unsmoothed 0
-        report = corpus_bleu(sents(["the the the the the the the"]), sents(["the cat is on the mat"]))
+        report = corpus_bleu(["the the the the the the the"], ["the cat is on the mat"])
         assert report.overall == 0.0  # frozen oracle value
         assert report.precisions[0] == pytest.approx(100.0 * 2 / 7, abs=1e-12)
         assert report.precisions[1] == 0.0
@@ -52,26 +53,26 @@ class TestCorpusBleuExamples:
 
     def test_brevity_penalty_closed_form(self):
         # every hypothesis n-gram matches a reference prefix; only BP < 1
-        hyp = sents(["a b c d e", "g h i j k"])
-        ref = sents(["a b c d e f", "g h i j k l"])
+        hyp = ["a b c d e", "g h i j k"]
+        ref = ["a b c d e f", "g h i j k l"]
         report = corpus_bleu(hyp, ref)
         assert report.bp == pytest.approx(math.exp(1 - 12 / 10), abs=1e-15)
         assert report.overall == pytest.approx(81.87307530779819, abs=1e-9)  # frozen oracle value
 
     def test_one_token_identity_is_100(self):
         # orders 2..4 have no n-grams anywhere and drop out of the mean
-        assert corpus_bleu(sents(["hello"]), sents(["hello"])).overall == 100.0
+        assert corpus_bleu(["hello"], ["hello"]).overall == 100.0
 
     def test_smoothing_on_higher_orders(self):
-        hyp = sents(["a b c x e f"])
-        ref = sents(["a b c d e f"])
+        hyp = ["a b c x e f"]
+        ref = ["a b c d e f"]
         assert corpus_bleu(hyp, ref).overall == 0.0
         smoothed = corpus_bleu(hyp, ref, smooth=True)
         assert smoothed.overall == pytest.approx(48.54917717073234, abs=1e-9)  # frozen oracle value
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="1 hypotheses vs 2"):
-            corpus_bleu(sents(["a"]), sents(["a", "b"]))
+            corpus_bleu(["a"], ["a", "b"])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
@@ -96,7 +97,7 @@ class TestCorpusBleuOracle:
                 if rng.random() < 0.8 and toks:
                     toks[rng.randrange(len(toks))] = rng.choice(vocab)
                 hyps.append(" ".join(toks))
-            got = corpus_bleu(sents(hyps), sents(refs)).overall
+            got = corpus_bleu(hyps, refs).overall
             want = oracle_bleu([h.split() for h in hyps], [r.split() for r in refs])
             assert got == pytest.approx(want, abs=1e-9), f"seed {seed}"
 
@@ -108,7 +109,7 @@ class TestCorpusBleuOracle:
             n = rng.randint(1, 15)
             refs = random_corpus(rng, n, vocab, max_len=12)
             hyps = random_corpus(rng, n, vocab, max_len=12)
-            got = corpus_bleu(sents(hyps), sents(refs)).overall
+            got = corpus_bleu(hyps, refs).overall
             want = oracle_bleu([h.split() for h in hyps], [r.split() for r in refs])
             assert got == pytest.approx(want, abs=1e-9), f"trial {trial}"
 
@@ -118,7 +119,7 @@ class TestCorpusBleuOracle:
         refs = random_corpus(rng, 12, vocab)
         hyps = random_corpus(rng, 12, vocab)
         for n_order in (1, 2, 3, 5, 6):
-            got = corpus_bleu(sents(hyps), sents(refs), n_order=n_order).overall
+            got = corpus_bleu(hyps, refs, n_order=n_order).overall
             want = oracle_bleu(
                 [h.split() for h in hyps], [r.split() for r in refs], n_order=n_order
             )
@@ -129,7 +130,7 @@ class TestCorpusBleuOracle:
         vocab = [f"w{i}" for i in range(30)]
         refs = random_corpus(rng, 8, vocab)
         hyps = random_corpus(rng, 8, vocab)
-        got = corpus_bleu(sents(hyps), sents(refs), smooth=True).overall
+        got = corpus_bleu(hyps, refs, smooth=True).overall
         want = oracle_bleu([h.split() for h in hyps], [r.split() for r in refs], smooth=True)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -138,16 +139,16 @@ class TestCorpusBleuOracle:
         vocab = [f"w{i}" for i in range(6)]
         for trial in range(40):
             n = rng.randint(1, 12)
-            hyps = sents(random_corpus(rng, n, vocab, max_len=10))
-            refs = sents(random_corpus(rng, n, vocab, max_len=10))
+            hyps = random_corpus(rng, n, vocab, max_len=10)
+            refs = random_corpus(rng, n, vocab, max_len=10)
             assert _ngram_stats_order4(hyps, refs) == _ngram_stats_generic(hyps, refs, 4)
 
     def test_repeat_free_pairs_equal_generic_path_and_oracle(self):
         # neither side repeats a token, so every pair takes the position
         # tier; hypotheses splice shared reference runs of length 1-6 with
         # tokens absent from the reference, at lengths 0-200
-        edge_h = sents(["x a", "b x", "x y", "x a b c d", "a b c d y", ""])
-        edge_r = sents(["a b", "a b", "a b", "a b c d", "a b c d", "a"])
+        edge_h = ["x a", "b x", "x y", "x a b c d", "a b c d y", ""]
+        edge_r = ["a b", "a b", "a b", "a b c d", "a b c d", "a"]
         assert _ngram_stats_order4(edge_h, edge_r) == _ngram_stats_generic(edge_h, edge_r, 4)
         rng = random.Random(4)
         vocab = [f"w{i}" for i in range(5000)]
@@ -168,10 +169,9 @@ class TestCorpusBleuOracle:
                 assert len(set(ht)) == len(ht) and len(set(rt)) == len(rt)
                 hyps.append(" ".join(ht))
                 refs.append(" ".join(rt))
-            h, r = sents(hyps), sents(refs)
-            stats = _ngram_stats_order4(h, r)
-            assert stats == _ngram_stats_generic(h, r, 4), f"trial {trial}"
-            got = corpus_bleu(h, r, smooth=True).overall
+            stats = _ngram_stats_order4(hyps, refs)
+            assert stats == _ngram_stats_generic(hyps, refs, 4), f"trial {trial}"
+            got = corpus_bleu(hyps, refs, smooth=True).overall
             want = oracle_bleu([x.split() for x in hyps], [x.split() for x in refs], smooth=True)
             assert got == pytest.approx(want, abs=1e-9), f"trial {trial}"
 
@@ -182,7 +182,7 @@ class TestBleuInvariants:
         vocab = [f"w{i}" for i in range(50)]
         for _ in range(100):
             lines = random_corpus(rng, rng.randint(1, 30), vocab, min_len=1, max_len=25)
-            h = sents(lines)
+            h = lines
             assert corpus_bleu(h, h).overall == 100.0
 
     def test_score_bounds(self):
@@ -190,24 +190,24 @@ class TestBleuInvariants:
         vocab = [f"w{i}" for i in range(10)]
         for _ in range(50):
             n = rng.randint(1, 10)
-            h = sents(random_corpus(rng, n, vocab))
-            r = sents(random_corpus(rng, n, vocab))
+            h = random_corpus(rng, n, vocab)
+            r = random_corpus(rng, n, vocab)
             score = corpus_bleu(h, r).overall
             assert 0.0 <= score <= 100.0
 
 
 class TestBucketedBleu:
     def test_boundary_semantics(self):
-        srcs = sents([" ".join(["s"] * 10), " ".join(["s"] * 11)])
-        hyps = sents(["a b", "c d"])
-        refs = sents(["a b", "c d"])
+        srcs = [" ".join(["s"] * 10), " ".join(["s"] * 11)]
+        hyps = ["a b", "c d"]
+        refs = ["a b", "c d"]
         report = bucketed_bleu(hyps, refs, srcs, STANDARD_BUCKETS)
         assert report.per_bucket["1-10"].count == 1
         assert report.per_bucket["11-20"].count == 1
 
     def test_empty_bucket_is_absent_not_zero(self):
-        srcs = sents(["s s s"])
-        hyps = refs = sents(["a b c"])
+        srcs = ["s s s"]
+        hyps = refs = ["a b c"]
         report = bucketed_bleu(hyps, refs, srcs, STANDARD_BUCKETS)
         assert report.per_bucket["1-10"].score == 100.0
         for label in list(STANDARD_BUCKETS.labels)[1:]:
@@ -222,16 +222,15 @@ class TestBucketedBleu:
         # the covered items overall and on each bucket's members
         rng = random.Random(44)
         vocab = [f"w{i}" for i in range(25)]
-        refs_raw = random_corpus(rng, 120, vocab)
-        hyps_raw = []
-        for r in refs_raw:
+        refs = random_corpus(rng, 120, vocab)
+        hyps = []
+        for r in refs:
             toks = [t if rng.random() < 0.8 else rng.choice(vocab) for t in r.split()]
-            hyps_raw.append(" ".join(toks) if rng.random() < 0.95 else "")
-        hyps, refs = sents(hyps_raw), sents(refs_raw)
-        srcs = sents(random_corpus(rng, 120, vocab, min_len=1, max_len=60))
+            hyps.append(" ".join(toks) if rng.random() < 0.95 else "")
+        srcs = random_corpus(rng, 120, vocab, min_len=1, max_len=60)
         buckets = parse_bucket_spec(spec)
         report = bucketed_bleu(hyps, refs, srcs, buckets, n_order=n_order, smooth=smooth)
-        labels = [buckets.label_of(s.token_count()) for s in srcs]
+        labels = [buckets.label_of(len(s.split())) for s in srcs]
         covered = [i for i, label in enumerate(labels) if label is not None]
         assert report.excluded == len(srcs) - len(covered)
         assert (report.excluded > 0) == (spec != "standard")
@@ -256,22 +255,22 @@ class TestBucketedBleu:
 
     def test_empty_decodes_in_one_bucket_score_zero(self):
         # every hypothesis of bucket 1-10 is empty; 11-20 is a perfect match
-        hyps = sents(["", "a b c"])
-        refs = sents(["a", "a b c"])
-        srcs = sents(["s", " ".join(["s"] * 15)])
+        hyps = ["", "a b c"]
+        refs = ["a", "a b c"]
+        srcs = ["s", " ".join(["s"] * 15)]
         report = bucketed_bleu(hyps, refs, srcs, STANDARD_BUCKETS)
         assert report.per_bucket["1-10"] == BucketScore(0.0, 1)
         assert report.per_bucket["11-20"] == BucketScore(100.0, 1)
         assert (report.hyp_len, report.ref_len) == (3, 4)
         assert report.bp == pytest.approx(math.exp(1 - 4 / 3), abs=1e-15)
         assert report.overall == pytest.approx(
-            oracle_bleu([h.raw.split() for h in hyps], [r.raw.split() for r in refs]), abs=1e-9
+            oracle_bleu([h.split() for h in hyps], [r.split() for r in refs]), abs=1e-9
         )
 
     def test_all_empty_decodes_score_zero(self):
-        hyps = sents(["", " ", ""])
-        refs = sents(["a b", "c", "d e f"])
-        srcs = sents(["s", "s s", " ".join(["s"] * 12)])
+        hyps = ["", " ", ""]
+        refs = ["a b", "c", "d e f"]
+        srcs = ["s", "s s", " ".join(["s"] * 12)]
         report = bucketed_bleu(hyps, refs, srcs, STANDARD_BUCKETS, n_order=3)
         assert report.overall == 0.0
         assert report.bp == 0.0
@@ -284,12 +283,12 @@ class TestBucketedBleu:
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValidationError, match="n_order"):
-            bucketed_bleu(sents(["a"]), sents(["a"]), sents(["s"]), STANDARD_BUCKETS, n_order=0)
+            bucketed_bleu(["a"], ["a"], ["s"], STANDARD_BUCKETS, n_order=0)
 
     def test_finite_spec_excludes_overlong_items(self):
-        srcs = sents([" ".join(["s"] * 5), " ".join(["s"] * 300)])
-        hyps = sents(["a b", "x y"])
-        refs = sents(["a b", "z w"])
+        srcs = [" ".join(["s"] * 5), " ".join(["s"] * 300)]
+        hyps = ["a b", "x y"]
+        refs = ["a b", "z w"]
         report = bucketed_bleu(hyps, refs, srcs, EXTENDED_BUCKETS)
         assert report.excluded == 1
         assert sum(bs.count for bs in report.per_bucket.values()) == 1
@@ -299,15 +298,15 @@ class TestBucketedBleu:
     def test_counts_sum_to_evaluated(self):
         rng = random.Random(21)
         vocab = [f"w{i}" for i in range(30)]
-        hyps = sents(random_corpus(rng, 200, vocab))
-        refs = sents(random_corpus(rng, 200, vocab))
-        srcs = sents(random_corpus(rng, 200, vocab, min_len=1, max_len=250))
+        hyps = random_corpus(rng, 200, vocab)
+        refs = random_corpus(rng, 200, vocab)
+        srcs = random_corpus(rng, 200, vocab, min_len=1, max_len=250)
         report = bucketed_bleu(hyps, refs, srcs, EXTENDED_BUCKETS)
         assert sum(bs.count for bs in report.per_bucket.values()) + report.excluded == 200
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="equal lengths"):
-            bucketed_bleu(sents(["a"]), sents(["a"]), sents(["s", "s"]), STANDARD_BUCKETS)
+            bucketed_bleu(["a"], ["a"], ["s", "s"], STANDARD_BUCKETS)
 
 
 def _report(scores: dict, counts: dict, overall: float) -> BleuReport:
@@ -488,3 +487,11 @@ class TestBucketSpecParsing:
     def test_garbage_rejected(self):
         with pytest.raises(ValidationError):
             parse_bucket_spec("ten,twenty")
+
+    def test_bucket_spec_rejects_bad_bounds(self):
+        with pytest.raises(ValidationError):
+            BucketSpec.from_bounds([10, 10])
+        with pytest.raises(ValidationError):
+            BucketSpec.from_bounds([20, 10])
+        with pytest.raises(ValidationError):
+            BucketSpec.from_bounds([])

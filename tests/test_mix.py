@@ -85,13 +85,13 @@ class TestMixRules:
         original = make_corpus(n, seed=6, min_len=13, max_len=20)
         recipe = MixRecipe("vanilla+bt+concat", base_size=n, seed=7)
         mixed = build_mix(recipe, original, translators=translators(), augment=augment_cfg())
-        original_sources = {p.source.raw for p in original.pairs}
+        original_sources = {p.source for p in original}
         # identity backward mock: pseudo sources are the original targets
-        pseudo_sources = {p.target.raw for p in original.pairs}
-        for p in mixed.pairs:
+        pseudo_sources = {p.target for p in original}
+        for p in mixed:
             if p.origin is not Origin.CONCAT:
                 continue
-            first, second = p.source.raw.split(" <sep> ")
+            first, second = p.source.split(" <sep> ")
             from_original = first in original_sources and second in original_sources
             from_pseudo = first in pseudo_sources and second in pseudo_sources
             assert from_original or from_pseudo
@@ -114,7 +114,7 @@ class TestMixRules:
         assert a == b
         assert a != c
         # same pairs, different order
-        assert sorted(p.source.raw for p in a) == sorted(p.source.raw for p in c)
+        assert sorted(p.source for p in a) == sorted(p.source for p in c)
 
     def test_unshuffled_keeps_component_order(self):
         n = 20
@@ -124,7 +124,7 @@ class TestMixRules:
             original,
             augment=augment_cfg(),
         )
-        origins = [p.origin for p in mixed.pairs]
+        origins = [p.origin for p in mixed]
         assert origins[:n] == [Origin.ORIGINAL] * n
         assert origins[n:] == [Origin.CONCAT] * n
 
@@ -147,7 +147,7 @@ class TestWriteMix:
         assert entries["meta.prng"] == "numpy-pcg64"
         assert len(entries["sha256.source"]) == 64
         reloaded = load_parallel(tmp_path / "mixdir" / "train.src", tmp_path / "mixdir" / "train.tgt")
-        assert [p.source.raw for p in reloaded] == [p.source.raw for p in mixed]
+        assert [p.source for p in reloaded] == [p.source for p in mixed]
 
     def test_mean_lengths_match_brute_force(self, tmp_path):
         n = 30
@@ -160,8 +160,8 @@ class TestWriteMix:
         manifest = mix_manifest(mixed)
         for origin, mean in manifest.mean_source_len.items():
             lens = [
-                len(p.source.raw.split())
-                for p in mixed.pairs
+                len(p.source.split())
+                for p in mixed
                 if p.origin.value == origin
             ]
             assert mean == pytest.approx(sum(lens) / len(lens), abs=1e-12)

@@ -106,24 +106,24 @@ class TestBackTranslate:
         corpus = make_corpus(20, seed=1)
         out = back_translate(corpus, mock_spec("identity", Direction.BACKWARD))
         assert len(out) == len(corpus)
-        for orig, new in zip(corpus.pairs, out.pairs):
+        for orig, new in zip(corpus, out):
             assert new.origin is Origin.PSEUDO_BT
             # identity backward model: pseudo source equals the target text
-            assert new.source.raw == orig.target.raw
+            assert new.source == orig.target
             # target side is byte-identical (it is the same object)
-            assert new.target.raw == orig.target.raw
+            assert new.target == orig.target
 
     def test_targets_byte_identical_with_lossy_translator(self):
         corpus = make_corpus(25, seed=2, min_len=6, max_len=15)
         out = back_translate(corpus, mock_spec("truncate", Direction.BACKWARD, max_tokens=2))
-        assert [p.target.raw for p in out] == [p.target.raw for p in corpus]
-        assert all(len(p.source.tokens) <= 2 for p in out)
+        assert [p.target for p in out] == [p.target for p in corpus]
+        assert all(len(p.source.split()) <= 2 for p in out)
 
     def test_order_preserved(self):
         corpus = make_corpus(10, seed=3)
         out = back_translate(corpus, mock_spec("reverse", Direction.BACKWARD))
-        for orig, new in zip(corpus.pairs, out.pairs):
-            assert new.source.tokens == list(reversed(orig.target.tokens))
+        for orig, new in zip(corpus, out):
+            assert new.source.split() == list(reversed(orig.target.split()))
 
     def test_direction_enforced(self):
         corpus = make_corpus(4, seed=3)
@@ -135,18 +135,27 @@ class TestBackTranslate:
         with pytest.raises(ValidationError, match="original-origin"):
             back_translate(corpus, mock_spec("identity", Direction.BACKWARD))
 
+    def test_carriage_return_in_output_names_the_line(self):
+        # a CR inside a decoded line neither splits it nor reaches the corpus
+        corpus = make_corpus(3, seed=3)
+        spec = TranslatorSpec(
+            f"{PYTHON} -c 'import sys; n = len(open(sys.argv[1]).readlines()); "
+            "open(sys.argv[2], \"w\", newline=\"\").write(\"a\\rb\\n\" * n)' {IN} {OUT}",
+            Direction.BACKWARD,
+        )
+        with pytest.raises(TranslatorError, match="output line 1: carriage return"):
+            back_translate(corpus, spec)
+
     def test_idempotent_source_under_identity(self):
         # applying the identity backward model twice on the source side
         # changes nothing after the first application
-        from bitextaug.corpus import Corpus, SentencePair
+        from bitextaug.corpus import Corpus
 
         corpus = make_corpus(8, seed=4)
         once = back_translate(corpus, mock_spec("identity", Direction.BACKWARD))
-        as_original = Corpus(
-            [SentencePair(p.id, p.source, p.target, Origin.ORIGINAL) for p in once.pairs]
-        )
+        as_original = Corpus(once.sources, once.targets, [Origin.ORIGINAL] * len(once))
         twice = back_translate(as_original, mock_spec("identity", Direction.BACKWARD))
-        assert [p.source.raw for p in twice] == [p.source.raw for p in once]
+        assert [p.source for p in twice] == [p.source for p in once]
 
 
 class TestSelfTrain:
@@ -154,15 +163,15 @@ class TestSelfTrain:
         corpus = make_corpus(20, seed=5)
         out = self_train(corpus, mock_spec("identity", Direction.FORWARD))
         assert len(out) == len(corpus)
-        for orig, new in zip(corpus.pairs, out.pairs):
+        for orig, new in zip(corpus, out):
             assert new.origin is Origin.PSEUDO_ST
-            assert new.target.raw == orig.source.raw
-            assert new.source.raw == orig.source.raw
+            assert new.target == orig.source
+            assert new.source == orig.source
 
     def test_sources_byte_identical_with_lossy_translator(self):
         corpus = make_corpus(25, seed=6, min_len=6, max_len=15)
         out = self_train(corpus, mock_spec("truncate", Direction.FORWARD, max_tokens=3))
-        assert [p.source.raw for p in out] == [p.source.raw for p in corpus]
+        assert [p.source for p in out] == [p.source for p in corpus]
 
     def test_direction_enforced(self):
         corpus = make_corpus(4, seed=7)
@@ -176,4 +185,4 @@ class TestRoundTripThroughFiles:
         out = back_translate(corpus, mock_spec("identity", Direction.BACKWARD))
         src, tgt = write_pair_files(tmp_path, out, prefix="bt")
         again = load_parallel(src, tgt, origin=Origin.PSEUDO_BT)
-        assert [p.source.raw for p in again] == [p.source.raw for p in out]
+        assert [p.source for p in again] == [p.source for p in out]
