@@ -16,22 +16,31 @@ the brevity penalty as the hypothesis length goes to 0; they do not raise.
 Scores are computed from additive sufficient statistics: per-order
 clipped-match and total n-gram counts plus the two corpus lengths. These
 are integers, so the counts of disjoint item sets sum exactly to the
-counts of their union.
+counts of their union. Scoring uses that to spread the counting over the
+CPUs this process may use: each bucket's items are dealt round-robin to
+W shards, one scored in this process and the others in forked children,
+and the shard counts are summed. W is the number of usable CPUs, lowered
+so that each shard gets at least SHARD_MIN_CHARS characters of hypothesis
+text, and 1 where the platform cannot fork. A score does not depend on W.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+import os
+import pickle
+import signal
 from itertools import repeat
-from operator import add, and_, eq, sub
-from typing import NamedTuple, Optional, Sequence
+from operator import and_, eq, sub
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .buckets import BucketSpec
-from .errors import ValidationError
+from .errors import PipelineError, ValidationError
 
 try:  # C-accelerated counter used by collections.Counter itself
     from collections import _count_elements
@@ -41,6 +50,12 @@ except ImportError:  # pragma: no cover - pure-python fallback
         get = mapping.get
         for elem in iterable:
             mapping[elem] = get(elem, 0) + 1
+
+
+# Each shard gets at least this many characters of hypothesis text. On a
+# 2-vCPU VM, two shards broke even with one at about 240K characters each:
+# below that, the fork and the pipe cost more than the second CPU saves.
+SHARD_MIN_CHARS = 300_000
 
 
 class BucketScore(NamedTuple):
@@ -222,6 +237,123 @@ def _ngram_stats(hyps: Sequence[str], refs: Sequence[str], n_order: int):
     return _ngram_stats_generic(hyps, refs, n_order)
 
 
+class _Counts(NamedTuple):
+    matched: list[int]
+    total: list[int]
+    hyp_len: int
+    ref_len: int
+    items: int
+
+
+def _summed(parts: Sequence[tuple], items: int) -> _Counts:
+    """Element-wise sum of (matched, total, hyp_len, ref_len, ...) counts."""
+    return _Counts(
+        [sum(col) for col in zip(*(p[0] for p in parts))],
+        [sum(col) for col in zip(*(p[1] for p in parts))],
+        sum(p[2] for p in parts),
+        sum(p[3] for p in parts),
+        items,
+    )
+
+
+def _shard_count(chars: int) -> int:
+    """W for this much hypothesis text: usable CPUs, at most one per SHARD_MIN_CHARS."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, chars // SHARD_MIN_CHARS))
+
+
+def _send_and_exit(func: Callable, arg, write_fd: int) -> None:
+    """In a forked child: pickle func(arg), or the exception it raised, into the pipe; exit."""
+    code = 1
+    try:
+        try:
+            payload = (True, func(arg))
+        except BaseException as exc:  # re-raised in the parent
+            payload = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)  # never unwind into the parent's code, run its atexit or flush its buffers
+
+
+def _map_forked(func: Callable, args: Sequence) -> list:
+    """[func(a) for a in args], args[0] here and each later one in a forked child.
+
+    An exception raised in a child is raised here. A child that exits
+    without sending its whole result raises PipelineError; nothing partial
+    is returned. Every child is reaped before this returns or raises, and
+    on an exception or interrupt the children still running are killed
+    first.
+    """
+    children: list[tuple[int, io.BufferedReader]] = []  # not yet reaped
+    try:
+        for arg in args[1:]:
+            read_fd, write_fd = os.pipe()
+            pipe = open(read_fd, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send_and_exit(func, arg, write_fd)
+            except BaseException:
+                pipe.close()
+                raise
+            finally:
+                os.close(write_fd)  # EOF comes when the child exits only if no later child holds it
+            children.append((pid, pipe))
+        results = [func(args[0])]
+        while children:
+            pid, pipe = children[0]
+            data = pipe.read()
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            try:
+                ok, value = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError):
+                raise PipelineError(
+                    f"BLEU shard worker {pid} ended (exit code "
+                    f"{os.waitstatus_to_exitcode(status)}) without sending its counts"
+                ) from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, _ in children:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        for pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+def _bucket_counts(
+    buckets: Sequence[tuple[Sequence[str], Sequence[str]]], n_order: int
+) -> list[_Counts]:
+    """Exact counts of each (hypotheses, references) bucket, scored in W shards.
+
+    Shard s takes items s, s + W, s + 2W, ... of every bucket, so long and
+    short items spread evenly over the shards. The shard counts are
+    integers and sum to the counts of a single pass.
+    """
+    w = _shard_count(sum(sum(map(len, hyps)) for hyps, _ in buckets))
+    shards = [[(hyps[s::w], refs[s::w]) for hyps, refs in buckets] for s in range(w)]
+    per_shard = _map_forked(
+        lambda shard: [_ngram_stats(hyps, refs, n_order) for hyps, refs in shard], shards
+    )
+    return [
+        _summed([stats[b] for stats in per_shard], len(hyps))
+        for b, (hyps, _) in enumerate(buckets)
+    ]
+
+
 def _combine(matched, total, hyp_len, ref_len, n_order, smooth):
     if hyp_len == 0:  # empty output: the brevity penalty's limit is 0
         return 0.0, 0.0, (0.0,) * n_order
@@ -271,16 +403,16 @@ def corpus_bleu(
         raise ValidationError("corpus_bleu: empty input")
     if n_order < 1:
         raise ValidationError(f"corpus_bleu: n_order must be >= 1, got {n_order}")
-    matched, total, hyp_len, ref_len = _ngram_stats(hypotheses, references, n_order)
-    score, bp, precisions = _combine(matched, total, hyp_len, ref_len, n_order, smooth)
+    (c,) = _bucket_counts([(hypotheses, references)], n_order)
+    score, bp, precisions = _combine(c.matched, c.total, c.hyp_len, c.ref_len, n_order, smooth)
     return BleuReport(
         overall=score,
         per_bucket={},
         n_order=n_order,
         bp=bp,
         precisions=precisions,
-        hyp_len=hyp_len,
-        ref_len=ref_len,
+        hyp_len=c.hyp_len,
+        ref_len=c.ref_len,
     )
 
 
@@ -299,11 +431,10 @@ def bucketed_bleu(
     and counted in the report's ``excluded`` field; an open-ended spec
     excludes nothing. Empty buckets report score None, never 0.
 
-    Each item is counted once: every non-empty bucket runs the n-gram
-    kernel over its members and is scored from those counts, and the
-    overall score comes from the summed counts of the covered buckets. The
-    sums are exact, so the overall score equals ``corpus_bleu`` over the
-    covered items.
+    Each item is counted once: every bucket is scored from the n-gram
+    counts of its members, and the overall score comes from the summed
+    counts of the covered buckets. The sums are exact, so the overall
+    score equals ``corpus_bleu`` over the covered items.
     """
     if not (len(hypotheses) == len(references) == len(sources)):
         raise ValidationError(
@@ -322,38 +453,35 @@ def bucketed_bleu(
     excluded = int((idx >= n_buckets).sum())
     if excluded == len(sources):
         raise ValidationError("bucketed_bleu: every item falls outside the bucket spec")
+    members = [np.flatnonzero(idx == b).tolist() for b in range(n_buckets)]
+    counts = _bucket_counts(
+        [([hypotheses[i] for i in m], [references[i] for i in m]) for m in members], n_order
+    )
     per_bucket: dict[str, BucketScore] = {}
-    matched = [0] * n_order
-    total = [0] * n_order
-    hyp_len = ref_len = 0
-    for b, label in enumerate(buckets.labels):
-        members = np.flatnonzero(idx == b).tolist()
-        if not members:
+    for label, c in zip(buckets.labels, counts):
+        if c.items == 0:
             per_bucket[label] = BucketScore(None, 0)
-            continue
-        m, t, hl, rl = _ngram_stats(
-            [hypotheses[i] for i in members], [references[i] for i in members], n_order
-        )
-        score, _, _ = _combine(m, t, hl, rl, n_order, smooth)
-        per_bucket[label] = BucketScore(score, len(members))
-        matched = list(map(add, matched, m))
-        total = list(map(add, total, t))
-        hyp_len += hl
-        ref_len += rl
-    score, bp, precisions = _combine(matched, total, hyp_len, ref_len, n_order, smooth)
+        else:
+            score, _, _ = _combine(c.matched, c.total, c.hyp_len, c.ref_len, n_order, smooth)
+            per_bucket[label] = BucketScore(score, c.items)
+    covered = _summed(counts, sum(c.items for c in counts))
+    score, bp, precisions = _combine(
+        covered.matched, covered.total, covered.hyp_len, covered.ref_len, n_order, smooth
+    )
     return BleuReport(
         overall=score,
         per_bucket=per_bucket,
         n_order=n_order,
         bp=bp,
         precisions=precisions,
-        hyp_len=hyp_len,
-        ref_len=ref_len,
+        hyp_len=covered.hyp_len,
+        ref_len=covered.ref_len,
         excluded=excluded,
     )
 
 
-def _check_compatible(reports: Sequence[BleuReport]) -> None:
+def check_compatible(reports: Sequence[BleuReport]) -> None:
+    """Raise ValidationError unless the reports share buckets, bucket counts and n-gram order."""
     first = reports[0]
     for rep in reports[1:]:
         if tuple(rep.per_bucket) != tuple(first.per_bucket):
@@ -377,7 +505,7 @@ def average_runs(reports: Sequence[BleuReport]) -> BleuReport:
     """
     if not reports:
         raise ValidationError("average_runs: no reports")
-    _check_compatible(reports)
+    check_compatible(reports)
     k = len(reports)
     per_bucket: dict[str, BucketScore] = {}
     for label in reports[0].per_bucket:

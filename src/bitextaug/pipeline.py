@@ -171,7 +171,7 @@ def _scan_parallel_files(
                 problem = line_problem(line)
                 if problem is not None:
                     violations.append(f"{path}:{n}: {problem}")
-                elif sep_token and sep_token in line.split():
+                elif sep_token and sep_token in line and sep_token in line.split():
                     violations.append(
                         f"{path}:{n}: contains reserved separator token {sep_token!r}"
                     )

@@ -14,25 +14,13 @@ import math
 from typing import Mapping, Optional, Sequence
 
 from .errors import ValidationError
-from .metrics import BleuDiff, BleuReport, JudgmentTally, DIMENSIONS
+from .metrics import BleuDiff, BleuReport, JudgmentTally, DIMENSIONS, check_compatible
 
 _PALETTE = ("#4878d0", "#ee854a", "#6acc64", "#d65f5f", "#956cb4", "#8c613c")
 
 
 def _fmt1(score: float) -> str:
     return f"{round(score, 1):.1f}"
-
-
-def _check_same_buckets(reports: Sequence[tuple[str, BleuReport]]) -> None:
-    first = reports[0][1]
-    for name, rep in reports[1:]:
-        if tuple(rep.per_bucket) != tuple(first.per_bucket):
-            raise ValidationError(f"report {name!r} uses a different bucket spec")
-        for label in first.per_bucket:
-            if rep.per_bucket[label].count != first.per_bucket[label].count:
-                raise ValidationError(
-                    f"report {name!r} disagrees on bucket {label!r} sentence count"
-                )
 
 
 def render_bucket_table(reports: Sequence[tuple[str, BleuReport]]) -> str:
@@ -44,7 +32,12 @@ def render_bucket_table(reports: Sequence[tuple[str, BleuReport]]) -> str:
     """
     if not reports:
         raise ValidationError("render_bucket_table: no reports")
-    _check_same_buckets(reports)
+    first = reports[0][1]
+    for name, rep in reports[1:]:
+        try:
+            check_compatible([first, rep])
+        except ValidationError as exc:
+            raise ValidationError(f"report {name!r}: {exc}") from None
     labels = list(reports[0][1].per_bucket)
     columns = ["all"] + labels
 

@@ -9,9 +9,11 @@ depend on stray caller state.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import os
 import shlex
+import signal
 import subprocess
 import tempfile
 from pathlib import Path
@@ -90,21 +92,30 @@ def translate_file(
     if "{SEED}" in command:
         command = command.replace("{SEED}", str(seed if seed is not None else 0))
 
-    try:
-        proc = subprocess.run(
-            command,
-            shell=True,
-            env=_child_env(),
-            capture_output=True,
-            text=True,
-            timeout=spec.timeout,
-        )
-    except subprocess.TimeoutExpired as exc:
-        raise TranslatorError(
-            f"translator {spec.name!r} timed out after {spec.timeout}s: {command}"
-        ) from exc
+    # The command gets its own session, so that killing its process group
+    # on timeout or interrupt stops the translator too, not only the shell.
+    with subprocess.Popen(
+        command,
+        shell=True,
+        env=_child_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=spec.timeout)
+        except BaseException as exc:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            if isinstance(exc, subprocess.TimeoutExpired):
+                raise TranslatorError(
+                    f"translator {spec.name!r} timed out after {spec.timeout}s: {command}"
+                ) from exc
+            raise
     if proc.returncode != 0:
-        tail = (proc.stderr or proc.stdout or "").strip()[-2000:]
+        tail = (stderr or stdout or "").strip()[-2000:]
         raise TranslatorError(
             f"translator {spec.name!r} exited {proc.returncode}: {command}\n{tail}"
         )

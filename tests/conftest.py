@@ -1,9 +1,12 @@
+import contextlib
+import os
 import random
 import shlex
 import sys
 
 import pytest
 
+from bitextaug import metrics
 from bitextaug.corpus import Corpus, Origin
 
 PYTHON = shlex.quote(sys.executable)
@@ -57,3 +60,25 @@ def write_pair_files(tmp_path, corpus: Corpus, prefix: str = "corpus"):
 @pytest.fixture
 def small_corpus():
     return make_corpus(40, seed=7, min_len=5, max_len=18)
+
+
+@contextlib.contextmanager
+def forced_shards(cpus: int, min_chars: int):
+    """Let BLEU scoring see `cpus` usable CPUs and a shard floor of `min_chars` characters.
+
+    Yields the list of shard workers' pids forked meanwhile.
+    """
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        mp.setattr(metrics.os, "fork", fork)
+        mp.setattr(metrics, "SHARD_MIN_CHARS", min_chars)
+        yield forked

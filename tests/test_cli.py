@@ -30,15 +30,15 @@ class TestValidate:
         assert "ok" in capsys.readouterr().out
 
     def test_separator_violation_names_line(self, tmp_path, capsys):
-        (tmp_path / "bad.src").write_text("clean line\nhas <sep> inside\n", encoding="utf-8")
-        (tmp_path / "bad.tgt").write_text("a\nb\n", encoding="utf-8")
-        code = main(
-            ["validate", "--source", str(tmp_path / "bad.src"), "--target", str(tmp_path / "bad.tgt")]
-        )
+        # only a whitespace-delimited token is the separator: x<sep>y is an ordinary word
+        src = tmp_path / "bad.src"
+        src.write_text("clean line\nx<sep>y\nhas <sep> inside\n", encoding="utf-8")
+        (tmp_path / "bad.tgt").write_text("a\nb\nc\n", encoding="utf-8")
+        code = main(["validate", "--source", str(src), "--target", str(tmp_path / "bad.tgt")])
         out = capsys.readouterr().out
         assert code == 1
-        assert "bad.src:2" in out
-        assert "separator" in out
+        assert f"{src}:3: contains reserved separator token '<sep>'" in out
+        assert "bad.src:2" not in out
 
     def test_mismatched_line_counts(self, tmp_path, capsys):
         (tmp_path / "a.src").write_text("x\ny\nz\n", encoding="utf-8")

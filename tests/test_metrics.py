@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import signal
+import time
 
 import pytest
 
@@ -10,7 +13,8 @@ from bitextaug.buckets import (
     BucketSpec,
     parse_bucket_spec,
 )
-from bitextaug.errors import ValidationError
+from bitextaug import metrics
+from bitextaug.errors import PipelineError, ValidationError
 from bitextaug.metrics import (
     BleuReport,
     BucketScore,
@@ -27,6 +31,7 @@ from bitextaug.metrics import (
 )
 from bitextaug.metrics import _ngram_stats_generic, _ngram_stats_order4
 
+from conftest import forced_shards
 from oracle import oracle_bleu
 
 
@@ -307,6 +312,73 @@ class TestBucketedBleu:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="equal lengths"):
             bucketed_bleu(["a"], ["a"], ["s", "s"], STANDARD_BUCKETS)
+
+
+class TestShardWorkers:
+    """BLEU scored in two shards, the second in a forked child, with a kernel that fails."""
+
+    HYPS = ["the cat sat on the mat", "a dog ran", "one two three four"] * 4
+
+    @pytest.fixture
+    def forked(self):
+        """Force two shards; the pids of the shard workers forked."""
+        with forced_shards(cpus=2, min_chars=1) as pids:
+            yield pids
+
+    def kernel_in_child(self, monkeypatch, child_kernel):
+        """Run child_kernel in place of the n-gram kernel in forked children only."""
+        parent = os.getpid()
+        real = metrics._ngram_stats
+
+        def kernel(hyps, refs, n_order):
+            if os.getpid() == parent:
+                return real(hyps, refs, n_order)
+            return child_kernel()
+
+        monkeypatch.setattr(metrics, "_ngram_stats", kernel)
+
+    @staticmethod
+    def assert_reaped(pids):
+        assert pids
+        for pid in pids:
+            try:
+                done, _ = os.waitpid(pid, os.WNOHANG)
+            except ChildProcessError:
+                continue  # reaped already
+            if done == 0:  # still running: clean up before failing
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            pytest.fail(f"shard worker {pid} was left unreaped")
+
+    def test_exception_in_child_is_raised_in_parent(self, forked, monkeypatch):
+        def boom():
+            raise ZeroDivisionError("shard kernel failed")
+
+        self.kernel_in_child(monkeypatch, boom)
+        with pytest.raises(ZeroDivisionError, match="shard kernel failed"):
+            corpus_bleu(self.HYPS, self.HYPS)
+        self.assert_reaped(forked)
+
+    def test_child_dying_without_counts_raises(self, forked, monkeypatch):
+        self.kernel_in_child(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(PipelineError, match=r"ended \(exit code 3\) without sending its counts"):
+            corpus_bleu(self.HYPS, self.HYPS)
+        self.assert_reaped(forked)
+
+    def test_interrupt_kills_and_reaps_running_children(self, forked, monkeypatch):
+        parent = os.getpid()
+
+        def kernel(hyps, refs, n_order):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(metrics, "_ngram_stats", kernel)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            corpus_bleu(self.HYPS, self.HYPS)
+        assert time.monotonic() - start < 30
+        self.assert_reaped(forked)
 
 
 def _report(scores: dict, counts: dict, overall: float) -> BleuReport:

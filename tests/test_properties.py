@@ -1,15 +1,21 @@
-"""Property tests of the columnar corpus: file round trip, concat and mix alignment, sampling."""
+"""Property tests: corpus file round trip, concat and mix alignment, sampling, BLEU and buckets."""
 
+import math
 import tempfile
 from collections import Counter
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bitextaug.augment import AugmentConfig, concat_augment
+from bitextaug.buckets import STANDARD_BUCKETS, BucketSpec
 from bitextaug.corpus import Corpus, Origin, holdout_split, load_parallel, sample, save_parallel
+from bitextaug.metrics import bucketed_bleu, corpus_bleu
 from bitextaug.mix import MixRecipe, build_mix
+
+from conftest import forced_shards
+from oracle import oracle_bleu
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -125,3 +131,107 @@ def test_build_mix_keeps_rows_aligned_through_the_shuffle(pool, recipe_name, see
             assert row.origin is Origin.ORIGINAL
             originals[row.source, row.target] += 1
     assert originals == pool_rows
+
+
+# --- BLEU -------------------------------------------------------------------
+
+# a six-word vocabulary, so tokens and n-grams repeat within and across
+# sentences; most sentences are short, some belong to a long tail
+words = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+
+
+def token_lists(min_size):
+    return st.one_of(
+        st.lists(words, min_size=min_size, max_size=8),
+        st.lists(words, min_size=40, max_size=90),
+    )
+
+
+@st.composite
+def scoring_sets(draw, max_size=25):
+    """(hypothesis, reference, source) token lists; some hypotheses empty, some equal their reference."""
+    n = draw(st.integers(1, max_size))
+    refs = draw(st.lists(token_lists(0), min_size=n, max_size=n))
+    srcs = draw(st.lists(token_lists(1), min_size=n, max_size=n))
+    hyps = [ref if draw(st.booleans()) else draw(token_lists(0)) for ref in refs]
+    return hyps, refs, srcs
+
+
+@st.composite
+def bucket_specs(draw):
+    bounds = sorted(draw(st.sets(st.integers(1, 95), min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        bounds.append(math.inf)
+    return BucketSpec.from_bounds(bounds)
+
+
+def joined(token_lists_):
+    return [" ".join(tokens) for tokens in token_lists_]
+
+
+def linear_bucket(spec, length):
+    """Index of the first bucket whose bound is at least length, else None."""
+    for i, bound in enumerate(spec.bounds):
+        if length <= bound:
+            return i
+    return None
+
+
+@SETTINGS
+@given(scoring_sets(), st.integers(1, 5), st.booleans())
+def test_corpus_bleu_matches_oracle(data, n_order, smooth):
+    hyps, refs, _ = data
+    got = corpus_bleu(joined(hyps), joined(refs), n_order=n_order, smooth=smooth).overall
+    assert math.isclose(got, oracle_bleu(hyps, refs, n_order, smooth), rel_tol=0, abs_tol=1e-9)
+
+
+@SETTINGS
+@given(scoring_sets(), bucket_specs(), st.integers(1, 5), st.booleans())
+def test_bucketed_bleu_matches_oracle_per_bucket(data, spec, n_order, smooth):
+    hyps, refs, srcs = data
+    members = [[] for _ in spec.labels]
+    for i, src in enumerate(srcs):
+        b = linear_bucket(spec, len(src))
+        if b is not None:
+            members[b].append(i)
+    covered = [i for m in members for i in m]
+    assume(covered)
+    report = bucketed_bleu(joined(hyps), joined(refs), joined(srcs), spec, n_order, smooth)
+    assert report.excluded == len(srcs) - len(covered)
+
+    def oracle(idx):
+        return oracle_bleu([hyps[i] for i in idx], [refs[i] for i in idx], n_order, smooth)
+
+    assert math.isclose(report.overall, oracle(covered), rel_tol=0, abs_tol=1e-9)
+    for label, m in zip(spec.labels, members):
+        bucket = report.per_bucket[label]
+        assert bucket.count == len(m)
+        if m:
+            assert math.isclose(bucket.score, oracle(m), rel_tol=0, abs_tol=1e-9)
+        else:
+            assert bucket.score is None
+
+
+@SETTINGS
+@given(bucket_specs(), st.integers(1, 300))
+def test_bucket_assignment_is_a_linear_scan(spec, length):
+    assert spec.index_of(length) == linear_bucket(spec, length)
+
+
+@SETTINGS
+@given(scoring_sets(max_size=40), st.integers(1, 5), st.booleans())
+def test_reports_do_not_depend_on_the_shard_count(data, n_order, smooth):
+    hyps, refs, srcs = (joined(side) for side in data)
+    chars = sum(map(len, hyps))
+    assume(chars >= 3 * 4)  # chars // (chars // w) == w for w <= 3
+    reports = []
+    for w in (1, 2, 3):
+        with forced_shards(3, chars // w) as forked:
+            reports.append(
+                (
+                    corpus_bleu(hyps, refs, n_order, smooth),
+                    bucketed_bleu(hyps, refs, srcs, STANDARD_BUCKETS, n_order, smooth),
+                )
+            )
+        assert len(forked) == 2 * (w - 1)
+    assert reports[0] == reports[1] == reports[2]

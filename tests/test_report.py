@@ -73,8 +73,11 @@ class TestBucketTable:
     def test_bucket_mismatch_rejected(self):
         a = _report({"1-10": 1.0}, {"1-10": 3}, 1.0)
         b = _report({"1-20": 2.0}, {"1-20": 3}, 2.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="report 'b': reports use different bucket specs"):
             render_bucket_table([("a", a), ("b", b)])
+        c = _report({"1-10": 2.0}, {"1-10": 4}, 2.0)
+        with pytest.raises(ValidationError, match="report 'c': reports disagree on bucket '1-10' counts"):
+            render_bucket_table([("a", a), ("c", c)])
 
 
 class TestJudgmentTable:

@@ -1,3 +1,9 @@
+import os
+import shlex
+import signal
+import time
+from pathlib import Path
+
 import pytest
 
 from bitextaug.corpus import Origin, load_parallel
@@ -12,6 +18,15 @@ from bitextaug.translate import (
 )
 
 from conftest import PYTHON, make_corpus, write_pair_files
+
+
+def gone_or_zombie(pid):
+    """True when the process has exited; a zombie may stay unreaped if PID 1 does not reap."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"  # the state follows the name's ")"
 
 
 def write_lines(path, lines):
@@ -94,6 +109,33 @@ class TestTranslateFile:
         )
         with pytest.raises(TranslatorError, match="timed out"):
             translate_file(spec, infile, tmp_path / "out.txt")
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+    def test_timeout_kills_the_translator_not_only_its_shell(self, tmp_path):
+        infile = tmp_path / "in.txt"
+        write_lines(infile, ["a"])
+        pid_file = tmp_path / "translator.pid"
+        script = f"import os, time; open({str(pid_file)!r}, 'w').write(str(os.getpid())); time.sleep(30)"
+        # two commands, so the shell forks the translator instead of exec-ing it
+        spec = TranslatorSpec(
+            f"{PYTHON} -c {shlex.quote(script)}; true # {{IN}} {{OUT}}",
+            Direction.FORWARD,
+            timeout=3.0,
+        )
+        start = time.monotonic()
+        with pytest.raises(TranslatorError, match="timed out"):
+            translate_file(spec, infile, tmp_path / "out.txt")
+        assert time.monotonic() - start < 20  # did not wait out the translator's sleep
+        pid = int(pid_file.read_text())
+        try:
+            # SIGKILL takes effect asynchronously: allow it a moment
+            deadline = time.monotonic() + 5
+            while not gone_or_zombie(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert gone_or_zombie(pid)
+        finally:
+            if not gone_or_zombie(pid):
+                os.kill(pid, signal.SIGKILL)
 
     def test_missing_input(self, tmp_path):
         spec = mock_spec("identity", Direction.FORWARD)
