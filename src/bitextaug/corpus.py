@@ -132,9 +132,10 @@ def scan_lines(path: PathLike) -> Iterator[str]:
     """Yield the lines of a UTF-8 file.
 
     Only ``\\n`` ends a line, and one ``\\r`` before it is dropped, so CRLF
-    files read like LF files. Any other ``\\r`` stays inside its line.
+    files read like LF files. Any other ``\\r`` stays inside its line. One
+    leading byte-order mark is dropped too; a later U+FEFF is text.
     """
-    with open(path, encoding="utf-8", newline="\n") as f:
+    with open(path, encoding="utf-8-sig", newline="\n") as f:
         for line in f:
             yield line.removesuffix("\n").removesuffix("\r")
 

@@ -93,15 +93,21 @@ def build_mix(
             raise ValidationError(f"recipe {recipe.name!r} requires a forward translator")
         components.append(self_train(original, forward, workdir=workdir))
 
+    # concat's draw and rejection counters, per pool, for the manifest
+    concat_counters: dict[str, str] = {}
     if recipe.name in ("vanilla+concat", "vanilla+bt+concat"):
         if augment is None:
             raise ValidationError(f"recipe {recipe.name!r} requires an augment config")
-        cfg_orig = augment._replace(seed=recipe.seed, target_count=n)
-        components.append(concat_augment(original, cfg_orig))
+        pools = [(Origin.ORIGINAL, original)]
         if recipe.name == "vanilla+bt+concat":
             assert pseudo is not None
-            cfg_pseudo = augment._replace(seed=recipe.seed + 1, target_count=n)
-            components.append(concat_augment(pseudo, cfg_pseudo))
+            pools.append((Origin.PSEUDO_BT, pseudo))
+        for seed_offset, (origin, pool) in enumerate(pools):
+            cfg = augment._replace(seed=recipe.seed + seed_offset, target_count=n)
+            concat = concat_augment(pool, cfg)
+            components.append(concat)
+            for counter in ("draws", "rejected_short", "rejected_self"):
+                concat_counters[f"concat.{origin.value}.{counter}"] = concat.meta[counter]
 
     meta = {
         "recipe": recipe.name,
@@ -118,6 +124,7 @@ def build_mix(
                 "min_concat_len": str(augment.min_concat_len),
             }
         )
+    meta.update(concat_counters)
     mixed = Corpus(
         chain.from_iterable(c.sources for c in components),
         chain.from_iterable(c.targets for c in components),

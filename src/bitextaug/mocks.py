@@ -8,6 +8,7 @@ command templates carrying a decoding-seed placeholder work unchanged.
 
 from __future__ import annotations
 
+# Only the standard library: a translator child must start without numpy.
 import argparse
 import sys
 

@@ -94,13 +94,16 @@ def translate_file(
 
     # The command gets its own session, so that killing its process group
     # on timeout or interrupt stops the translator too, not only the shell.
+    # Its diagnostics may be in any encoding; undecodable bytes must not
+    # fail a good decode or hide why a bad one failed.
     with subprocess.Popen(
         command,
         shell=True,
         env=_child_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        text=True,
+        encoding="utf-8",
+        errors="replace",
         start_new_session=True,
     ) as proc:
         try:

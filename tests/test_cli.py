@@ -185,6 +185,13 @@ class TestScoringCommands:
         assert code == 0
         assert "BLEU = 100.0" in capsys.readouterr().out
 
+    def test_bleu_of_byte_order_marked_hypotheses(self, tmp_path, capsys):
+        (tmp_path / "hyp.txt").write_bytes(b"\xef\xbb\xbfa b c d\ne f g\n")
+        (tmp_path / "ref.txt").write_text("a b c d\ne f g\n", encoding="utf-8")
+        code = main(["bleu", "--hyp", str(tmp_path / "hyp.txt"), "--ref", str(tmp_path / "ref.txt")])
+        assert code == 0
+        assert "BLEU = 100.0" in capsys.readouterr().out
+
     def test_bleu_bucketed_with_csv(self, tmp_path, capsys):
         (tmp_path / "hyp.txt").write_text("a b c d\ne f g\n", encoding="utf-8")
         (tmp_path / "ref.txt").write_text("a b c d\ne f x\n", encoding="utf-8")

@@ -81,6 +81,13 @@ class TestLoadParallel:
         assert corpus.sources == ("a b", "c")
         assert corpus.targets == ("x", "y z")
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        (tmp_path / "a.src").write_bytes(b"\xef\xbb\xbfhello world\nsee \xef\xbb\xbfyou\n")
+        (tmp_path / "a.tgt").write_bytes(b"\xef\xbb\xbfx\ny z\n")
+        corpus = load_parallel(tmp_path / "a.src", tmp_path / "a.tgt")
+        assert corpus.sources == ("hello world", "see \ufeffyou")
+        assert corpus.targets == ("x", "y z")
+
 
 class TestReadLines:
     def test_lone_carriage_return_stays_inside_its_line(self, tmp_path):

@@ -1,10 +1,10 @@
 import pytest
 
-from bitextaug.augment import AugmentConfig
+from bitextaug.augment import AugmentConfig, concat_augment
 from bitextaug.corpus import Origin, load_parallel, read_sidecar
 from bitextaug.errors import ValidationError
 from bitextaug.mix import MixRecipe, build_mix, mix_manifest, write_mix
-from bitextaug.translate import Direction, mock_spec
+from bitextaug.translate import Direction, back_translate, mock_spec
 
 from conftest import make_corpus
 
@@ -165,3 +165,24 @@ class TestWriteMix:
                 if p.origin.value == origin
             ]
             assert mean == pytest.approx(sum(lens) / len(lens), abs=1e-12)
+
+    def test_manifest_carries_concat_counters_of_both_pools(self, tmp_path):
+        n = 40
+        original = make_corpus(n, seed=15, min_len=3, max_len=20)
+        recipe = MixRecipe("vanilla+bt+concat", n, seed=6)
+        paths = [
+            write_mix(
+                build_mix(recipe, original, translators=translators(), augment=augment_cfg()),
+                tmp_path / run,
+            )
+            for run in ("a", "b")
+        ]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        entries = read_sidecar(paths[0])
+        pseudo = back_translate(original, translators()[Direction.BACKWARD])
+        for origin, pool, seed in (("original", original, 6), ("pseudo_bt", pseudo, 7)):
+            meta = concat_augment(pool, augment_cfg(seed=seed)._replace(target_count=n)).meta
+            assert int(meta["rejected_short"]) > 0
+            for counter in ("draws", "rejected_short", "rejected_self"):
+                assert entries[f"meta.concat.{origin}.{counter}"] == meta[counter]
+        assert sum(key.startswith("meta.concat.") for key in entries) == 6

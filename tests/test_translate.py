@@ -81,6 +81,22 @@ class TestTranslateFile:
         with pytest.raises(TranslatorError, match="boom diagnostic"):
             translate_file(spec, infile, tmp_path / "out.txt")
 
+    def test_undecodable_stderr_does_not_fail_a_good_decode(self, tmp_path):
+        infile = tmp_path / "in.txt"
+        write_lines(infile, ["a b"])
+        spec = TranslatorSpec("printf '\\377 warn\\n' >&2; cp {IN} {OUT}", Direction.FORWARD)
+        out = translate_file(spec, infile, tmp_path / "out.txt")
+        assert out == tmp_path / "out.txt"
+        assert out.read_text(encoding="utf-8") == "a b\n"
+
+    def test_undecodable_stderr_keeps_failure_diagnostics(self, tmp_path):
+        infile = tmp_path / "in.txt"
+        write_lines(infile, ["a b"])
+        spec = TranslatorSpec("printf '\\377 fail\\n' >&2; : {IN} {OUT}; exit 3", Direction.FORWARD)
+        with pytest.raises(TranslatorError, match="exited 3") as err:
+            translate_file(spec, infile, tmp_path / "out.txt")
+        assert str(err.value).endswith("\ufffd fail")
+
     def test_line_count_mismatch_detected(self, tmp_path):
         infile = tmp_path / "in.txt"
         write_lines(infile, ["a", "b", "c"])
