@@ -125,11 +125,15 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
 
     rng = np.random.default_rng(config.seed)
     budget = config.max_attempts_factor * config.target_count
+    # the counters cover the draws up to the last kept one, so
+    # kept = draws - rejected_short - rejected_self
     draws = rejected_self = rejected_short = 0
-    kept_i: list[np.ndarray] = []
-    kept_j: list[np.ndarray] = []
-    need = config.target_count
-    while need > 0:
+    # pool rows of the first and second half of each kept pair
+    first = np.empty(config.target_count, np.intp)
+    second = np.empty(config.target_count, np.intp)
+    done = 0
+    while done < config.target_count:
+        need = config.target_count - done
         batch = min(max(4096, 2 * need), 1 << 17, budget - draws)
         if batch <= 0:
             raise AugmentationError(
@@ -139,25 +143,27 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
                 "the pool sentences are too short for the threshold"
             )
         ij = rng.integers(0, n, size=(batch, 2))
-        draws += batch
         i, j = ij[:, 0], ij[:, 1]
         distinct = i != j
-        rejected_self += int(batch - distinct.sum())
         long_enough = lens[i] + lens[j] + sep_add >= config.min_concat_len
-        ok = distinct & long_enough
+        kept = np.flatnonzero(distinct & long_enough)
+        if len(kept) >= need:
+            kept = kept[:need]
+            used = int(kept[-1]) + 1
+            distinct, long_enough = distinct[:used], long_enough[:used]
+        else:
+            used = batch
+        draws += used
+        rejected_self += used - int(distinct.sum())
         rejected_short += int((distinct & ~long_enough).sum())
-        i, j = i[ok], j[ok]
-        if len(i) > need:
-            i, j = i[:need], j[:need]
-        kept_i.append(i)
-        kept_j.append(j)
-        need -= len(i)
+        first[done : done + len(kept)] = i[kept]
+        second[done : done + len(kept)] = j[kept]
+        done += len(kept)
 
-    first = np.concatenate(kept_i).tolist() if kept_i else []
-    second = np.concatenate(kept_j).tolist() if kept_j else []
     mid = f" {sep} "
-    sources = [src[a] + mid + src[b] for a, b in zip(first, second)]
-    targets = [tgt[a] + mid + tgt[b] for a, b in zip(first, second)]
+    a_rows, b_rows = first.tolist(), second.tolist()
+    sources = [src[a] + mid + src[b] for a, b in zip(a_rows, b_rows)]
+    targets = [tgt[a] + mid + tgt[b] for a, b in zip(a_rows, b_rows)]
     meta = {
         "augment": "concat",
         "pool": pool.name,
@@ -172,7 +178,7 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
         "rejected_short": str(rejected_short),
         "rejected_self": str(rejected_self),
     }
-    return Corpus(
+    out = Corpus(
         sources,
         targets,
         (Origin.CONCAT,) * len(sources),
@@ -181,6 +187,12 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
         pool.target_lang,
         meta,
     )
+    for side in Side:
+        counts = pool._cached_counts(side)
+        if counts is not None:
+            # the separator joins two lines as one token of its own
+            out._carry(side, counts[first] + counts[second] + 1)
+    return out
 
 
 def measure_concat_mean(corpus: Corpus, config: Optional[AugmentConfig] = None) -> float:

@@ -12,6 +12,8 @@ import math
 from bisect import bisect_left
 from typing import NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 
 
@@ -53,6 +55,14 @@ class BucketSpec(NamedTuple):
             raise ValidationError(f"sentence length must be >= 1, got {length}")
         i = bisect_left(self.bounds, length)
         return i if i < len(self.bounds) else None
+
+    def assign(self, lengths: np.ndarray) -> np.ndarray:
+        """Bucket index of each length (>= 1), as index_of gives it.
+
+        A length past a finite last bound gets ``len(self.labels)``.
+        """
+        # searchsorted against inclusive upper bounds gives the bucket index
+        return np.searchsorted(np.asarray(self.bounds), lengths, side="left")
 
     def label_of(self, length: int) -> Optional[str]:
         i = self.index_of(length)

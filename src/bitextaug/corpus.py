@@ -14,6 +14,7 @@ seed reproduces the same output on any platform. The generator id
 from __future__ import annotations
 
 import enum
+import hashlib
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -54,9 +55,14 @@ class Corpus:
 
     ``sources[i]``, ``targets[i]`` and ``origins[i]`` make up pair i;
     iterating or indexing yields SentencePair rows built on the fly.
+    Token counts are split out once per side and cached; the operations
+    that derive one corpus from another carry them over without splitting.
     """
 
-    __slots__ = ("sources", "targets", "origins", "name", "source_lang", "target_lang", "meta")
+    __slots__ = (
+        "sources", "targets", "origins", "name", "source_lang", "target_lang", "meta",
+        "_token_counts",
+    )
 
     def __init__(
         self,
@@ -80,6 +86,7 @@ class Corpus:
         self.source_lang = source_lang
         self.target_lang = target_lang
         self.meta: dict[str, str] = dict(meta or {})
+        self._token_counts: dict[Side, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.sources)
@@ -91,7 +98,8 @@ class Corpus:
         return SentencePair(self.sources[i], self.targets[i], self.origins[i])
 
     def __eq__(self, other) -> bool:
-        # Content equality only; name and meta are provenance, not data.
+        # Content equality only; name and meta are provenance, not data,
+        # and cached token counts follow from the columns.
         if not isinstance(other, Corpus):
             return NotImplemented
         return (
@@ -105,21 +113,43 @@ class Corpus:
 
     def take(self, rows: Sequence[int], name: str, meta: dict[str, str]) -> "Corpus":
         """The pairs at ``rows``, in that order, as a new corpus in the same languages."""
+        index = np.asarray(rows, dtype=np.intp)
+        picked = index.tolist()
         columns = (self.sources, self.targets, self.origins)
-        return Corpus(
-            *(map(column.__getitem__, rows) for column in columns),
+        out = Corpus(
+            *(map(column.__getitem__, picked) for column in columns),
             name,
             self.source_lang,
             self.target_lang,
             meta,
         )
+        for side, counts in self._token_counts.items():
+            out._carry(side, counts[index])
+        return out
 
     def column(self, side: Side) -> tuple[str, ...]:
         return self.sources if side is Side.SOURCE else self.targets
 
     def token_counts(self, side: Side) -> np.ndarray:
-        lines = self.column(side)
-        return np.fromiter(map(len, map(str.split, lines)), np.int64, count=len(lines))
+        """Whitespace-token count of every line of one side, as a read-only int32 array.
+
+        The first call for a side splits its lines; later calls, and the
+        corpora derived from this one, reuse the result.
+        """
+        counts = self._token_counts.get(side)
+        if counts is None:
+            lines = self.column(side)
+            counts = np.fromiter(map(len, map(str.split, lines)), np.int32, count=len(lines))
+            self._carry(side, counts)
+        return counts
+
+    def _carry(self, side: Side, counts: np.ndarray) -> None:
+        """Cache token counts for one side, derived from another corpus's counts."""
+        counts.flags.writeable = False
+        self._token_counts[side] = counts
+
+    def _cached_counts(self, side: Side) -> Optional[np.ndarray]:
+        return self._token_counts.get(side)
 
 
 class LengthStats(NamedTuple):
@@ -195,11 +225,26 @@ def load_parallel(
     )
 
 
-def save_parallel(corpus: Corpus, source_path: PathLike, target_path: PathLike) -> None:
-    """Write the corpus back to a line-aligned file pair (UTF-8, LF)."""
+# lines encoded per write, so no whole column is ever held as one str or bytes
+_WRITE_CHUNK_LINES = 4096
+
+
+def save_parallel(corpus: Corpus, source_path: PathLike, target_path: PathLike) -> tuple[str, str]:
+    """Write the corpus back to a line-aligned file pair (UTF-8, LF).
+
+    Returns the sha256 hex digests of the source and the target file,
+    computed from the bytes as they are written.
+    """
+    digests = []
     for path, lines in ((source_path, corpus.sources), (target_path, corpus.targets)):
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.writelines(line + "\n" for line in lines)
+        digest = hashlib.sha256()
+        with open(path, "wb") as f:
+            for start in range(0, len(lines), _WRITE_CHUNK_LINES):
+                data = ("\n".join(lines[start : start + _WRITE_CHUNK_LINES]) + "\n").encode()
+                digest.update(data)
+                f.write(data)
+        digests.append(digest.hexdigest())
+    return digests[0], digests[1]
 
 
 def read_lines(path: PathLike) -> list[str]:
@@ -267,13 +312,9 @@ def length_stats(corpus: Corpus, buckets: BucketSpec, side: Side = Side.SOURCE) 
         raise ValidationError("length_stats: empty corpus")
     lens = corpus.token_counts(side)
     mean = float(lens.sum()) / len(lens)
-    histogram = {label: 0 for label in buckets.labels}
-    # searchsorted against inclusive upper bounds gives the bucket index
-    idx = np.searchsorted(np.asarray(buckets.bounds), lens, side="left")
-    in_range = idx < len(buckets.labels)
-    counts = np.bincount(idx[in_range], minlength=len(buckets.labels))
-    for label, n in zip(buckets.labels, counts):
-        histogram[label] = int(n)
+    # the extra last slot counts the lengths past a finite last bound
+    counts = np.bincount(buckets.assign(lens), minlength=len(buckets.labels) + 1)
+    histogram = {label: int(n) for label, n in zip(buckets.labels, counts)}
     return LengthStats(count=len(corpus), mean_source_len=mean, histogram=histogram)
 
 
@@ -291,7 +332,7 @@ def sample(corpus: Corpus, n: int, seed: int) -> Corpus:
     idx = np.sort(rng.choice(size, size=n, replace=False))
     meta = dict(corpus.meta)
     meta.update({"sampled_n": str(n), "sample_seed": str(seed), "prng": PRNG_ID})
-    return corpus.take(idx.tolist(), f"{corpus.name}[sample:{n}]", meta)
+    return corpus.take(idx, f"{corpus.name}[sample:{n}]", meta)
 
 
 def holdout_split(corpus: Corpus, train_n: int, test_n: int, seed: int) -> tuple[Corpus, Corpus]:
@@ -323,6 +364,6 @@ def holdout_split(corpus: Corpus, train_n: int, test_n: int, seed: int) -> tuple
                 "prng": PRNG_ID,
             }
         )
-        return corpus.take(indices.tolist(), f"{corpus.name}[{tag}]", meta)
+        return corpus.take(indices, f"{corpus.name}[{tag}]", meta)
 
     return part(train_idx, "train"), part(test_idx, "heldout")

@@ -448,7 +448,7 @@ def bucketed_bleu(
     src_lens = np.fromiter(map(len, map(str.split, sources)), np.int64, count=len(sources))
     if int(src_lens.min()) < 1:
         raise ValidationError("bucketed_bleu: sources must be non-empty sentences")
-    idx = np.searchsorted(np.asarray(buckets.bounds), src_lens, side="left")
+    idx = buckets.assign(src_lens)
     n_buckets = len(buckets.labels)
     excluded = int((idx >= n_buckets).sum())
     if excluded == len(sources):

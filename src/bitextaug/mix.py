@@ -17,16 +17,14 @@ shuffle: +2) so one seed reproduces the whole mix.
 
 from __future__ import annotations
 
-import hashlib
-import operator
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .augment import AugmentConfig, concat_augment
-from .corpus import PRNG_ID, Corpus, Origin, save_parallel, write_sidecar
+from .corpus import PRNG_ID, Corpus, Origin, Side, save_parallel, write_sidecar
 from .errors import ValidationError
 from .translate import Direction, TranslatorSpec, back_translate, self_train
 
@@ -134,10 +132,14 @@ def build_mix(
         original.target_lang,
         meta,
     )
+    for side in Side:
+        parts = [c._cached_counts(side) for c in components]
+        if all(counts is not None for counts in parts):
+            mixed._carry(side, np.concatenate(parts))
     if recipe.shuffle_output:
         shuffle_seed = recipe.seed + 2 if recipe.shuffle_seed is None else recipe.shuffle_seed
         order = np.random.default_rng(shuffle_seed).permutation(len(mixed))
-        mixed = mixed.take(order.tolist(), mixed.name, meta)
+        mixed = mixed.take(order, mixed.name, meta)
     return mixed
 
 
@@ -150,34 +152,37 @@ class MixManifest(NamedTuple):
 
 def mix_manifest(corpus: Corpus, sep_token: str = "<sep>") -> MixManifest:
     """Per-origin counts, separator-containing pair count, and mean lengths."""
-    token_counts: list[int] = []
-    with_sep = 0
-    for tokens in map(str.split, corpus.sources):
-        token_counts.append(len(tokens))
-        with_sep += sep_token in tokens
-    lens = np.array(token_counts, np.int64)
+    lens = corpus.token_counts(Side.SOURCE)
+    # Origin members are singletons, so their ids tell the rows apart
+    ids = np.fromiter(map(id, corpus.origins), np.intp, len(corpus))
     per_origin: dict[str, int] = {}
     mean_source_len: dict[str, float] = {}
     for origin in Origin:
-        rows = np.fromiter(map(operator.is_, corpus.origins, repeat(origin)), bool, len(corpus))
-        count = int(rows.sum())
+        rows = ids == id(origin)
+        count = int(np.count_nonzero(rows))
         if count:
             per_origin[origin.value] = count
-            mean_source_len[origin.value] = int(lens[rows].sum()) / count
+            mean_source_len[origin.value] = int(lens[rows].sum(dtype=np.int64)) / count
     return MixManifest(
         total=len(corpus),
         per_origin=per_origin,
-        with_separator=with_sep,
+        with_separator=_lines_with_token(corpus.sources, sep_token),
         mean_source_len=mean_source_len,
     )
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _lines_with_token(lines: Sequence[str], token: str) -> int:
+    """How many lines hold ``token`` as one of their whitespace-delimited tokens."""
+    if token.split() != [token]:
+        return 0  # a split line yields no empty token and none with whitespace
+    # a line without the substring cannot hold the token, and a hit on it
+    # between two spaces proves it does; only the other lines are split
+    spaced = f" {token} "
+    found = 0
+    for line in lines:
+        if token in line:
+            found += spaced in line or token in line.split()
+    return found
 
 
 def write_mix(
@@ -194,7 +199,7 @@ def write_mix(
     out_dir.mkdir(parents=True, exist_ok=True)
     src_path = out_dir / f"{prefix}.{corpus.source_lang}"
     tgt_path = out_dir / f"{prefix}.{corpus.target_lang}"
-    save_parallel(corpus, src_path, tgt_path)
+    src_sha256, tgt_sha256 = save_parallel(corpus, src_path, tgt_path)
     manifest = mix_manifest(corpus, sep_token=sep_token)
     entries: dict[str, str] = {
         "name": corpus.name,
@@ -202,8 +207,8 @@ def write_mix(
         "pairs.with_separator": str(manifest.with_separator),
         "file.source": src_path.name,
         "file.target": tgt_path.name,
-        "sha256.source": _sha256(src_path),
-        "sha256.target": _sha256(tgt_path),
+        "sha256.source": src_sha256,
+        "sha256.target": tgt_sha256,
     }
     for origin, count in sorted(manifest.per_origin.items()):
         entries[f"pairs.{origin}"] = str(count)

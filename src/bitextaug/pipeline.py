@@ -68,7 +68,8 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: PathLike) -> "PipelineConfig":
         config = cls()
-        with open(path, encoding="utf-8") as f:
+        # utf-8-sig drops a leading byte-order mark, as scan_lines does
+        with open(path, encoding="utf-8-sig") as f:
             for lineno, line in enumerate(f, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):

@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .corpus import Corpus, Origin, line_problem, read_lines, scan_lines
+from .corpus import Corpus, Origin, Side, line_problem, read_lines, scan_lines
 from .errors import TranslatorError, ValidationError
 
 PathLike = Union[str, Path]
@@ -163,7 +163,7 @@ def back_translate(
         raise ValidationError("back_translate needs a backward-direction translator")
     translated = _translated_lines(backward, parallel.targets, workdir, "bt")
     meta = {"origin": Origin.PSEUDO_BT.value, "translator": backward.name, "base": parallel.name}
-    return Corpus(
+    pseudo = Corpus(
         translated,
         parallel.targets,
         (Origin.PSEUDO_BT,) * len(parallel),
@@ -172,6 +172,8 @@ def back_translate(
         parallel.target_lang,
         meta,
     )
+    _keep_counts(parallel, pseudo, Side.TARGET)
+    return pseudo
 
 
 def self_train(
@@ -186,7 +188,7 @@ def self_train(
         raise ValidationError("self_train needs a forward-direction translator")
     translated = _translated_lines(forward, parallel.sources, workdir, "st")
     meta = {"origin": Origin.PSEUDO_ST.value, "translator": forward.name, "base": parallel.name}
-    return Corpus(
+    pseudo = Corpus(
         parallel.sources,
         translated,
         (Origin.PSEUDO_ST,) * len(parallel),
@@ -195,6 +197,15 @@ def self_train(
         parallel.target_lang,
         meta,
     )
+    _keep_counts(parallel, pseudo, Side.SOURCE)
+    return pseudo
+
+
+def _keep_counts(parallel: Corpus, pseudo: Corpus, kept: Side) -> None:
+    """Carry the cached token counts of the side that was not translated."""
+    counts = parallel._cached_counts(kept)
+    if counts is not None:
+        pseudo._carry(kept, counts)
 
 
 def _require_original(parallel: Corpus, op: str) -> None:

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from bitextaug.augment import AugmentConfig, concat_augment, concat_pair, measure_concat_mean
-from bitextaug.corpus import Corpus, Origin, SentencePair, Side
+from bitextaug.corpus import Corpus, Origin, SentencePair, Side, sample
 from bitextaug.errors import AugmentationError, ValidationError
+from bitextaug.pipeline import PipelineConfig
 
 from conftest import corpus_of, make_corpus
 
@@ -167,6 +169,65 @@ class TestConcatAugment:
             AugmentConfig(seed=0, target_count=1, min_concat_len=25, count_sep_in_length=True),
         )
         assert len(out) == 1
+
+
+def replayed(pool, cfg):
+    """Concat's draws replayed one by one from the same generator calls.
+
+    Returns the kept (first, second) pool rows and the draw, short-rejection
+    and self-rejection counts up to the last kept draw.
+    """
+    lens = [len(line.split()) for line in pool.column(cfg.length_side)]
+    sep_add = int(cfg.count_sep_in_length)
+    rng = np.random.default_rng(cfg.seed)
+    kept, draws, short, self_pairs, generated = [], 0, 0, 0, 0
+    while len(kept) < cfg.target_count:
+        need = cfg.target_count - len(kept)
+        batch = min(max(4096, 2 * need), 1 << 17, cfg.max_attempts_factor * cfg.target_count - generated)
+        generated += batch
+        for a, b in rng.integers(0, len(pool), size=(batch, 2)).tolist():
+            if len(kept) == cfg.target_count:
+                break
+            draws += 1
+            if a == b:
+                self_pairs += 1
+            elif lens[a] + lens[b] + sep_add < cfg.min_concat_len:
+                short += 1
+            else:
+                kept.append((a, b))
+    return kept, draws, short, self_pairs, generated
+
+
+class TestConcatCounters:
+    def check(self, pool, cfg):
+        out = concat_augment(pool, cfg)
+        kept, draws, short, self_pairs, generated = replayed(pool, cfg)
+        assert out.sources == tuple(f"{pool.sources[a]} <sep> {pool.sources[b]}" for a, b in kept)
+        counters = tuple(int(out.meta[k]) for k in ("draws", "rejected_short", "rejected_self"))
+        assert counters == (draws, short, self_pairs)
+        assert draws - short - self_pairs == len(out) == cfg.target_count
+        return draws, short, self_pairs, generated
+
+    def test_criterion_9_pools_count_only_up_to_the_last_kept_draw(self):
+        # the sampled 100-pair pool and the concat seeds of the end-to-end
+        # determinism run (seed 1 on the original pool, 2 on the pseudo one)
+        config = PipelineConfig(base_size=100)
+        train = make_corpus(200, seed=404, min_len=13, max_len=24)
+        pool = sample(train, 100, config.sample_seed)
+        for seed in (config.concat_seed, config.concat_seed + 1):
+            cfg = config.augment_config()._replace(seed=seed, target_count=100)
+            draws, _, _, generated = self.check(pool, cfg)
+            assert draws < generated == 4096
+
+    def test_cut_batch_with_both_rejections(self):
+        # short lines and a small pool: every batch rejects both ways, and
+        # the second batch is cut short after its last kept draw
+        pool = make_corpus(30, seed=8, min_len=3, max_len=20)
+        cfg = AugmentConfig(seed=12, target_count=3000, min_concat_len=25)
+        draws, short, self_pairs, generated = self.check(pool, cfg)
+        assert short > 0 and self_pairs > 0
+        assert generated == 2 * 3000 + 4096
+        assert 2 * 3000 < draws < generated
 
 
 class TestMeasureConcatMean:

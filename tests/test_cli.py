@@ -6,6 +6,7 @@ import pytest
 
 from bitextaug.cli import main
 from bitextaug.corpus import load_parallel, read_sidecar
+from bitextaug.pipeline import PipelineConfig
 
 from conftest import make_corpus, mock_cmd, write_pair_files
 
@@ -358,6 +359,12 @@ class TestRun:
         code = main(self.run_args(tmp_path, train_files, test_files, "garbled", recipe="vanilla"))
         assert code == 2
         assert "locked by another run" in capsys.readouterr().err
+
+    def test_config_with_byte_order_mark_loads(self, tmp_path):
+        config = tmp_path / "bom.cfg"
+        config.write_bytes(b"\xef\xbb\xbfrecipe=vanilla\nbase_size=7\n")
+        loaded = PipelineConfig.from_file(config)
+        assert (loaded.recipe, loaded.base_size) == ("vanilla", 7)
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -1,7 +1,7 @@
 import pytest
 
 from bitextaug.augment import AugmentConfig, concat_augment
-from bitextaug.corpus import Origin, load_parallel, read_sidecar
+from bitextaug.corpus import Corpus, Origin, load_parallel, read_sidecar
 from bitextaug.errors import ValidationError
 from bitextaug.mix import MixRecipe, build_mix, mix_manifest, write_mix
 from bitextaug.translate import Direction, back_translate, mock_spec
@@ -165,6 +165,24 @@ class TestWriteMix:
                 if p.origin.value == origin
             ]
             assert mean == pytest.approx(sum(lens) / len(lens), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "sep_token,expected",
+        [("<sep>", 6), ("x<sep>y", 1), ("<sep> a", 0), ("", 0)],
+    )
+    def test_separator_count_is_by_whole_tokens(self, sep_token, expected):
+        sources = [
+            "<sep> a",  # at the line start
+            "a <sep>",  # at the line end
+            "a\t<sep>\tb",  # next to tabs
+            "a\u3000<sep>",  # after an ideographic space
+            "x<sep>y b",  # inside a longer token only
+            "a <sep> b",
+            "b <sep> a c",  # a token with a space can never match
+            "a b",
+        ]
+        corpus = Corpus(sources, sources, [Origin.PSEUDO_BT] * len(sources))
+        assert mix_manifest(corpus, sep_token).with_separator == expected
 
     def test_manifest_carries_concat_counters_of_both_pools(self, tmp_path):
         n = 40

@@ -1,18 +1,34 @@
-"""Property tests: corpus file round trip, concat and mix alignment, sampling, BLEU and buckets."""
+"""Property tests: corpus file round trip, concat and mix alignment, sampling,
+cached token counts, mix manifests, BLEU and buckets."""
 
+import hashlib
 import math
+import shlex
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bitextaug.augment import AugmentConfig, concat_augment
 from bitextaug.buckets import STANDARD_BUCKETS, BucketSpec
-from bitextaug.corpus import Corpus, Origin, holdout_split, load_parallel, sample, save_parallel
+from bitextaug.corpus import (
+    Corpus,
+    Origin,
+    Side,
+    holdout_split,
+    load_parallel,
+    read_sidecar,
+    sample,
+    save_parallel,
+)
 from bitextaug.metrics import bucketed_bleu, corpus_bleu
-from bitextaug.mix import MixRecipe, build_mix
+from bitextaug.mix import MixManifest, MixRecipe, build_mix, mix_manifest, write_mix
+from bitextaug.translate import Direction, TranslatorSpec, back_translate, mock_spec, self_train
 
 from conftest import forced_shards
 from oracle import oracle_bleu
@@ -133,6 +149,172 @@ def test_build_mix_keeps_rows_aligned_through_the_shuffle(pool, recipe_name, see
     assert originals == pool_rows
 
 
+# --- cached token counts and mix manifests ----------------------------------
+
+# words and pieces of "<sep>" joined by whitespace that str.split splits on
+# (tab, U+3000, NBSP, U+2028, ...), none of which ends a line in a file
+spacing = st.sampled_from([" ", "  ", "\t", "\u3000", "\u00a0", "\u2028", "\x0b", "\x1c", "\x85"])
+spaced_lines = st.lists(
+    st.tuples(st.sampled_from(["a", "bb", "<", "sep>", "x<sep>y"]), spacing), min_size=1, max_size=8
+).map(lambda parts: "".join(word + space for word, space in parts).strip(" "))
+# the same, plus "<sep>" itself as a token, for corpora that are not concat pools
+token_lines = st.lists(
+    st.tuples(st.sampled_from(["a", "bb", "<sep>", "x<sep>y", "<sep>z"]), spacing), min_size=1, max_size=8
+).map(lambda parts: "".join(word + space for word, space in parts)).filter(lambda line: not line.isspace())
+
+FEW = settings(max_examples=8, deadline=None)  # each example starts translator processes
+
+
+@st.composite
+def spaced_pools(draw, min_size=2, max_size=25):
+    pairs = draw(st.lists(st.tuples(spaced_lines, spaced_lines), min_size=min_size, max_size=max_size))
+    sources, targets = zip(*pairs)
+    return Corpus(sources, targets, [Origin.ORIGINAL] * len(pairs), name="pool")
+
+
+def split_counts(lines):
+    return [len(line.split()) for line in lines]
+
+
+def assert_counts_carried(corpus, sides):
+    """Each side in sides has cached counts, read-only int32, equal to a split of every line."""
+    for side in sides:
+        counts = corpus._cached_counts(side)
+        assert counts is not None, f"{side} counts were not carried"
+        assert counts.dtype == np.int32
+        assert not counts.flags.writeable
+        assert counts.tolist() == split_counts(corpus.column(side))
+
+
+def reference_manifest(corpus, sep_token):
+    per_origin = Counter(origin.value for origin in corpus.origins)
+    words = Counter()
+    for line, origin in zip(corpus.sources, corpus.origins):
+        words[origin.value] += len(line.split())
+    return MixManifest(
+        total=len(corpus),
+        per_origin=dict(per_origin),
+        with_separator=sum(sep_token in line.split() for line in corpus.sources),
+        mean_source_len={origin: words[origin] / count for origin, count in per_origin.items()},
+    )
+
+
+# a backward translator that puts "<sep>" where a fast path could miss it:
+# at the line start or end, next to a tab, inside a longer token, or nowhere
+SEP_EMITTER = (
+    "import sys\n"
+    "forms = ['<sep> {}', '{} <sep>', '{}\\t<sep>', 'x<sep>y {}', '{}', '<sep>\\t{}']\n"
+    "lines = open(sys.argv[1], encoding='utf-8', newline='\\n').read().split('\\n')[:-1]\n"
+    "with open(sys.argv[2], 'w', encoding='utf-8', newline='\\n') as f:\n"
+    "    f.writelines(forms[i % len(forms)].format(line) + '\\n' for i, line in enumerate(lines))\n"
+)
+SEP_EMITTER_SPEC = TranslatorSpec(
+    f"{shlex.quote(sys.executable)} -c {shlex.quote(SEP_EMITTER)} {{IN}} {{OUT}}",
+    Direction.BACKWARD,
+    name="sep-emitter",
+)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(token_lines, token_lines), min_size=1, max_size=20), st.data())
+def test_counts_follow_load_sample_and_take(pairs, data):
+    with tempfile.TemporaryDirectory() as td:
+        src, tgt = Path(td) / "c.src", Path(td) / "c.tgt"
+        src.write_text("".join(s + "\n" for s, _ in pairs), encoding="utf-8")
+        tgt.write_text("".join(t + "\n" for _, t in pairs), encoding="utf-8")
+        corpus = load_parallel(src, tgt)
+    for side in Side:
+        assert corpus.token_counts(side).tolist() == split_counts(corpus.column(side))
+    assert_counts_carried(corpus, Side)
+    n = data.draw(st.integers(0, len(corpus)))
+    assert_counts_carried(sample(corpus, n, data.draw(st.integers(0, 2**32 - 1))), Side)
+    rows = data.draw(st.lists(st.integers(0, len(corpus) - 1), max_size=30))
+    assert_counts_carried(corpus.take(rows, "rows", {}), Side)
+
+
+@SETTINGS
+@given(spaced_pools(), st.sets(st.sampled_from(Side)), st.integers(0, 60), st.integers(0, 2**32 - 1))
+def test_concat_carries_the_counts_its_pool_cached(pool, cached, count, seed):
+    for side in cached:
+        pool.token_counts(side)
+    cfg = AugmentConfig(seed=seed, target_count=count, min_concat_len=0)
+    out = concat_augment(pool, cfg)
+    assert_counts_carried(out, cached | {cfg.length_side})
+    drawn = [int(out.meta[key]) for key in ("draws", "rejected_short", "rejected_self")]
+    assert drawn[0] - drawn[1] - drawn[2] == count
+
+
+@FEW
+@given(spaced_pools(max_size=12), st.sampled_from(["identity", "reverse"]))
+def test_translation_keeps_the_counts_of_the_untranslated_side(pool, mode):
+    pool.token_counts(Side.TARGET)
+    pool.token_counts(Side.SOURCE)
+    pseudo_bt = back_translate(pool, mock_spec(mode, Direction.BACKWARD))
+    pseudo_st = self_train(pool, mock_spec(mode, Direction.FORWARD))
+    assert_counts_carried(pseudo_bt, [Side.TARGET])
+    assert_counts_carried(pseudo_st, [Side.SOURCE])
+    assert pseudo_bt._cached_counts(Side.SOURCE) is None
+    assert pseudo_st._cached_counts(Side.TARGET) is None
+
+
+@FEW
+@given(spaced_pools(), st.sampled_from(["vanilla+concat", "vanilla+bt+concat"]), st.integers(0, 2**32 - 1))
+def test_build_mix_carries_source_counts_through_the_shuffle(pool, recipe_name, seed):
+    recipe = MixRecipe(recipe_name, base_size=len(pool), seed=seed)
+    translators = {Direction.BACKWARD: mock_spec("reverse", Direction.BACKWARD)}
+    mixed = build_mix(recipe, pool, translators, AugmentConfig(seed=0, min_concat_len=0))
+    assert_counts_carried(mixed, [Side.SOURCE])
+    assert mix_manifest(mixed) == reference_manifest(mixed, "<sep>")
+
+
+@SETTINGS
+@given(
+    st.lists(st.tuples(token_lines, st.sampled_from(Origin)), min_size=1, max_size=30),
+    st.sampled_from(["<sep>", "a", "x<sep>y", "<sep> a", ""]),
+    st.booleans(),
+)
+def test_mix_manifest_matches_a_split_reference(rows, sep_token, cache_first):
+    corpus = Corpus([s for s, _ in rows], [s for s, _ in rows], [o for _, o in rows])
+    if cache_first:
+        corpus.token_counts(Side.SOURCE)
+    assert mix_manifest(corpus, sep_token) == reference_manifest(corpus, sep_token)
+
+
+@FEW
+@given(spaced_pools(min_size=6, max_size=18), st.integers(0, 2**32 - 1))
+def test_manifest_counts_separators_a_back_translator_emits(pool, seed):
+    translators = {Direction.BACKWARD: SEP_EMITTER_SPEC}
+    mixed = build_mix(MixRecipe("vanilla+bt", len(pool), seed=seed), pool, translators)
+    pseudo_sources = [s for s, o in zip(mixed.sources, mixed.origins) if o is Origin.PSEUDO_BT]
+    assert any(line.startswith("<sep> ") for line in pseudo_sources)
+    assert any(line.endswith("\t<sep>") for line in pseudo_sources)
+    manifest = mix_manifest(mixed)
+    assert manifest == reference_manifest(mixed, "<sep>")
+    assert manifest.with_separator > 0
+
+
+@SETTINGS
+@given(spaced_pools(), st.integers(0, 2**32 - 1))
+def test_write_mix_records_the_hashes_of_the_written_files(pool, seed):
+    recipe = MixRecipe("vanilla+concat", len(pool), seed=seed)
+    mixed = build_mix(recipe, pool, augment=AugmentConfig(seed=seed, min_concat_len=0))
+    with tempfile.TemporaryDirectory() as td:
+        entries = read_sidecar(write_mix(mixed, td))
+        for side in ("source", "target"):
+            written = (Path(td) / entries[f"file.{side}"]).read_bytes()
+            assert entries[f"sha256.{side}"] == hashlib.sha256(written).hexdigest()
+
+
+@SETTINGS
+@given(spaced_pools(), st.sampled_from(Side))
+def test_cached_counts_are_read_only(pool, side):
+    counts = pool.token_counts(side)
+    with pytest.raises(ValueError):
+        counts[0] = 99
+    assert pool.token_counts(side) is counts
+    assert counts.tolist() == split_counts(pool.column(side))
+
+
 # --- BLEU -------------------------------------------------------------------
 
 # a six-word vocabulary, so tokens and n-grams repeat within and across
@@ -216,6 +398,17 @@ def test_bucketed_bleu_matches_oracle_per_bucket(data, spec, n_order, smooth):
 @given(bucket_specs(), st.integers(1, 300))
 def test_bucket_assignment_is_a_linear_scan(spec, length):
     assert spec.index_of(length) == linear_bucket(spec, length)
+
+
+@SETTINGS
+@given(bucket_specs(), st.lists(st.integers(1, 300), max_size=40))
+def test_bucket_assign_equals_index_of(spec, lengths):
+    # every bound and the length just past it, where an off-by-one would show
+    finite = [int(b) for b in spec.bounds if b != math.inf]
+    lengths = lengths + finite + [b + 1 for b in finite]
+    out_of_range = len(spec.labels)
+    expected = [out_of_range if spec.index_of(n) is None else spec.index_of(n) for n in lengths]
+    assert spec.assign(np.array(lengths, np.int32)).tolist() == expected
 
 
 @SETTINGS
