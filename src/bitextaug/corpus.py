@@ -225,6 +225,15 @@ def load_parallel(
     )
 
 
+def _sides_starting_with_bom(corpus: Corpus) -> list[str]:
+    """The sides whose first line starts with U+FEFF, which scan_lines drops on reading."""
+    return [
+        side.value
+        for side in Side
+        if corpus.column(side) and corpus.column(side)[0].startswith("\ufeff")
+    ]
+
+
 # lines encoded per write, so no whole column is ever held as one str or bytes
 _WRITE_CHUNK_LINES = 4096
 
@@ -233,8 +242,16 @@ def save_parallel(corpus: Corpus, source_path: PathLike, target_path: PathLike) 
     """Write the corpus back to a line-aligned file pair (UTF-8, LF).
 
     Returns the sha256 hex digests of the source and the target file,
-    computed from the bytes as they are written.
+    computed from the bytes as they are written. Raises CorpusFormatError,
+    before writing anything, when a first line starts with U+FEFF: the
+    reload would drop it as a byte-order mark.
     """
+    sides = _sides_starting_with_bom(corpus)
+    if sides:
+        raise CorpusFormatError(
+            f"cannot save {corpus.name!r}: the first {' and '.join(sides)} line starts with "
+            "U+FEFF, which would read back as a byte-order mark"
+        )
     digests = []
     for path, lines in ((source_path, corpus.sources), (target_path, corpus.targets)):
         digest = hashlib.sha256()
@@ -279,10 +296,14 @@ def read_sidecar(path: PathLike) -> dict[str, str]:
 def validate_corpus(corpus: Corpus, sep_token: Optional[str] = None) -> list[str]:
     """Return a list of invariant violations (empty when clean).
 
-    With ``sep_token`` given, also flags non-concatenated pairs containing
+    A first line that starts with U+FEFF is flagged: save_parallel refuses
+    it. With ``sep_token`` given, also flags non-concatenated pairs containing
     the separator and concatenated pairs not containing exactly one per side.
     """
-    problems: list[str] = []
+    problems = [
+        f"pair 0: {side} starts with U+FEFF, which reads back as a byte-order mark"
+        for side in _sides_starting_with_bom(corpus)
+    ]
     for i, p in enumerate(corpus):
         for side_name, line in (("source", p.source), ("target", p.target)):
             if "\n" in line or "\r" in line:

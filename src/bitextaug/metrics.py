@@ -22,6 +22,15 @@ W shards, one scored in this process and the others in forked children,
 and the shard counts are summed. W is the number of usable CPUs, lowered
 so that each shard gets at least SHARD_MIN_CHARS characters of hypothesis
 text, and 1 where the platform cannot fork. A score does not depend on W.
+
+One kernel, ``_ngram_stats``, counts every n-gram order. It is
+item-major and scores K decoding runs of one test set together: each
+reference is split and prepared once, the K hypotheses for that item are
+counted against it, and the preparation is dropped before the next item,
+so no more than one prepared reference is held at a time.
+``bucketed_bleu_runs`` scores K runs with one source split, one bucket
+assignment and one set of shard workers; ``bucketed_bleu`` and
+``corpus_bleu`` are its K = 1 cases.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import os
 import pickle
 import signal
 from itertools import repeat
-from operator import and_, eq, sub
+from operator import add, and_, eq, sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -82,159 +91,102 @@ class BleuDiff(NamedTuple):
     per_bucket: dict[str, Optional[float]]
 
 
-def _ngram_stats_order4(hyps: Sequence[str], refs: Sequence[str]):
-    """Clipped-match and total n-gram counts for orders 1..4.
+def _ngrams_of_lengths(lengths: Sequence[int], n_order: int) -> list[int]:
+    """Number of n-grams of each order 1..n_order in token lists of these lengths."""
+    histogram: dict[int, int] = {}
+    _count_elements(histogram, lengths)
+    out = [0] * n_order
+    for length, k in histogram.items():
+        for n in range(min(length, n_order)):
+            out[n] += k * (length - n)
+    return out
 
-    Hand-specialized hot path. Identical pairs are counted from their
-    length alone; every other pair goes through one of two exact tiers.
+
+def _ngram_stats(hyp_runs: Sequence[Sequence[str]], refs: Sequence[str], n_order: int):
+    """Clipped-match and total n-gram counts, orders 1..n_order, of K runs.
+
+    hyp_runs holds K hypothesis lists, each aligned with refs. Returns one
+    (matched, total, hyp_len, ref_len) per run.
+
+    Item-major: each reference is split once and, when it repeats no
+    token, gets a dict from token to position; the hypotheses of all K
+    runs for that item are counted against it, and the dict is dropped.
+    A hypothesis equal to its reference is counted from its length, as
+    are the per-order totals, from a histogram of hypothesis lengths.
+    Every other pair goes through one of two exact tiers.
 
     Position tier, when neither side repeats a token: each reference
     token has one position, so each hypothesis token is mapped to
     q[i] = pos[h_i] - i. The n-gram starting at hypothesis index i
     occurs in the reference iff q[i] == ... == q[i+n-1] and all n tokens
     are present (it then starts at reference index q[i] + i). Matches
-    are counted with C-level map(eq)/map(and_) over shifted lists. An
-    absent token takes position -len(ht), so its q is -len(ht) - i:
-    distinct for every i, hence no two absent tokens compare equal, and
-    below the smallest present q, 0 - (len(ht) - 1), hence no absent
-    token equals a present one. Each n-gram occurs at most once on each
-    side, so membership already is the clipped count.
+    are counted with C-level map(eq)/map(and_) over shifted lists, one
+    more map(and_) per order. An absent token takes position -len(ht),
+    so its q is -len(ht) - i: distinct for every i, hence no two absent
+    tokens compare equal, and below the smallest present q,
+    0 - (len(ht) - 1), hence no absent token equals a present one. Each
+    n-gram occurs at most once on each side, so membership already is
+    the clipped count.
 
-    Set tier, when a side repeats a token: reference n-grams of all four
-    orders go into one set (key spaces are disjoint: str vs 2/3/4-tuples)
-    and hypothesis n-grams are checked with C-level map/sum. When a
-    hypothesis repeats an n-gram the set is not enough to clip, so those
-    rare pairs fall back to exact counted matching.
+    Counted tier, for every other pair: the reference's n-gram counts of
+    all orders go into one dict (key spaces are disjoint: str vs
+    n-tuples), built once per item, and each hypothesis n-gram takes one
+    from a copy of it while any are left.
     """
-    matched = [0, 0, 0, 0]
-    total = [0, 0, 0, 0]
-    hyp_len = ref_len = 0
-    zp = zip
-    for hyp, ref in zp(hyps, refs):
-        ht = hyp.split()
+    runs = [([0] * n_order, [], []) for _ in hyp_runs]  # matched, lengths, lengths of equal pairs
+    ref_len = 0
+    for ref, hyps in zip(refs, zip(*hyp_runs)):
         rt = ref.split()
-        lh = len(ht)
-        hyp_len += lh
-        ref_len += len(rt)
-        total[0] += lh
-        if lh > 1:
-            total[1] += lh - 1
-        if lh > 2:
-            total[2] += lh - 2
-        if lh > 3:
-            total[3] += lh - 3
-        if ht == rt:
-            matched[0] += lh
-            if lh > 1:
-                matched[1] += lh - 1
-            if lh > 2:
-                matched[2] += lh - 2
-            if lh > 3:
-                matched[3] += lh - 3
-            continue
-        no_repeats = len(set(ht)) == lh
-        if no_repeats:
-            pos = dict(zp(rt, range(len(rt))))
-            if len(pos) == len(rt):
+        lr = len(rt)
+        ref_len += lr
+        pos = dict(zip(rt, range(lr)))
+        if len(pos) != lr:
+            pos = None
+        rcounts = None
+        for hyp, (matched, lengths, equal) in zip(hyps, runs):
+            ht = hyp.split()
+            lh = len(ht)
+            lengths.append(lh)
+            if ht == rt:
+                equal.append(lh)
+                continue
+            if pos is not None and len(set(ht)) == lh:
                 p = list(map(pos.get, ht, repeat(-lh, lh)))
                 m = lh - p.count(-lh)
                 if m == 0:
                     continue
                 matched[0] += m
                 q = list(map(sub, p, range(lh)))
-                e = list(map(eq, q, q[1:]))  # e[i]: bigram at i matches
-                m = e.count(True)
-                if m == 0:
-                    continue
-                matched[1] += m
-                e = list(map(and_, e, e[1:]))  # e[i]: trigram at i matches
-                matched[2] += e.count(True)
-                matched[3] += list(map(and_, e, e[1:])).count(True)
+                e = list(map(eq, q, q[1:]))  # e[i]: the bigram at i matches
+                for n in range(1, n_order):
+                    if n > 1:
+                        e = list(map(and_, e, e[1:]))  # e[i]: the (n+1)-gram at i matches
+                    m = e.count(True)
+                    if m == 0:
+                        break  # an absent n-gram implies absent higher orders
+                    matched[n] += m
                 continue
-        r1 = rt[1:]
-        r2 = rt[2:]
-        r3 = rt[3:]
-        rset = set(rt)
-        up = rset.update
-        up(zp(rt, r1))
-        up(zp(rt, r1, r2))
-        up(zp(rt, r1, r2, r3))
-        contains = rset.__contains__
-        h1 = ht[1:]
-        h2 = ht[2:]
-        h3 = ht[3:]
-        rcounts = None
-        for order, grams in (
-            (0, ht),
-            (1, list(zp(ht, h1))),
-            (2, list(zp(ht, h1, h2))),
-            (3, list(zp(ht, h1, h2, h3))),
-        ):
-            if not grams:
-                break
-            if no_repeats or len(set(grams)) == len(grams):
-                m = sum(map(contains, grams))
-            else:
-                if rcounts is None:
-                    rcounts = {}
-                    _count_elements(rcounts, rt)
-                    _count_elements(rcounts, zp(rt, r1))
-                    _count_elements(rcounts, zp(rt, r1, r2))
-                    _count_elements(rcounts, zp(rt, r1, r2, r3))
-                get = rcounts.get
+            if rcounts is None:
+                rcounts = {}
+                for n in range(1, n_order + 1):
+                    _count_elements(rcounts, rt if n == 1 else zip(*(rt[i:] for i in range(n))))
+            left = rcounts.copy()
+            get = left.get
+            for n in range(1, n_order + 1):
                 m = 0
-                for g in grams:
+                for g in ht if n == 1 else zip(*(ht[i:] for i in range(n))):
                     k = get(g)
                     if k:
                         m += 1
-                        rcounts[g] = k - 1
-            if m == 0:
-                break  # an absent n-gram implies absent higher orders
-            matched[order] += m
-    return matched, total, hyp_len, ref_len
-
-
-def _ngram_stats_generic(hyps: Sequence[str], refs: Sequence[str], n_order: int):
-    """Counted clipped matching for arbitrary maximum order."""
-    matched = [0] * n_order
-    total = [0] * n_order
-    hyp_len = ref_len = 0
-    for hyp, ref in zip(hyps, refs):
-        ht = hyp.split()
-        rt = ref.split()
-        lh = len(ht)
-        hyp_len += lh
-        ref_len += len(rt)
-        for n in range(1, n_order + 1):
-            if lh < n:
-                break
-            total[n - 1] += lh - n + 1
-        rcounts: dict = {}
-        for n in range(1, n_order + 1):
-            if len(rt) < n:
-                break
-            _count_elements(
-                rcounts, rt if n == 1 else zip(*(rt[i:] for i in range(n)))
-            )
-        get = rcounts.get
-        for n in range(1, n_order + 1):
-            if lh < n:
-                break
-            m = 0
-            for g in ht if n == 1 else zip(*(ht[i:] for i in range(n))):
-                k = get(g)
-                if k:
-                    m += 1
-                    rcounts[g] = k - 1
-            matched[n - 1] += m
-    return matched, total, hyp_len, ref_len
-
-
-def _ngram_stats(hyps: Sequence[str], refs: Sequence[str], n_order: int):
-    """(matched, total, hyp_len, ref_len) from the kernel suited to n_order."""
-    if n_order == 4:
-        return _ngram_stats_order4(hyps, refs)
-    return _ngram_stats_generic(hyps, refs, n_order)
+                        left[g] = k - 1
+                if m == 0:
+                    break
+                matched[n - 1] += m
+    out = []
+    for matched, lengths, equal in runs:
+        matched = list(map(add, matched, _ngrams_of_lengths(equal, n_order)))
+        out.append((matched, _ngrams_of_lengths(lengths, n_order), sum(lengths), ref_len))
+    return out
 
 
 class _Counts(NamedTuple):
@@ -335,26 +287,35 @@ def _map_forked(func: Callable, args: Sequence) -> list:
 
 
 def _bucket_counts(
-    buckets: Sequence[tuple[Sequence[str], Sequence[str]]], n_order: int
-) -> list[_Counts]:
-    """Exact counts of each (hypotheses, references) bucket, scored in W shards.
+    buckets: Sequence[tuple[Sequence[Sequence[str]], Sequence[str]]], n_order: int
+) -> list[list[_Counts]]:
+    """Exact counts of each (hypothesis runs, references) bucket, per run, scored in W shards.
 
-    Shard s takes items s, s + W, s + 2W, ... of every bucket, so long and
-    short items spread evenly over the shards. The shard counts are
-    integers and sum to the counts of a single pass.
+    Returns counts[k][b] for run k and bucket b. Shard s takes items s,
+    s + W, s + 2W, ... of every bucket, with each run's hypotheses for
+    those items, so long and short items spread evenly over the shards.
+    The shard counts are integers and sum to the counts of a single pass.
     """
-    w = _shard_count(sum(sum(map(len, hyps)) for hyps, _ in buckets))
-    shards = [[(hyps[s::w], refs[s::w]) for hyps, refs in buckets] for s in range(w)]
+    w = _shard_count(sum(sum(map(len, hyps)) for runs, _ in buckets for hyps in runs))
+    shards = [
+        [([hyps[s::w] for hyps in runs], refs[s::w]) for runs, refs in buckets] for s in range(w)
+    ]
     per_shard = _map_forked(
-        lambda shard: [_ngram_stats(hyps, refs, n_order) for hyps, refs in shard], shards
+        lambda shard: [_ngram_stats(runs, refs, n_order) for runs, refs in shard], shards
     )
+    n_runs = len(buckets[0][0])
     return [
-        _summed([stats[b] for stats in per_shard], len(hyps))
-        for b, (hyps, _) in enumerate(buckets)
+        [
+            _summed([stats[b][k] for stats in per_shard], len(refs))
+            for b, (_, refs) in enumerate(buckets)
+        ]
+        for k in range(n_runs)
     ]
 
 
-def _combine(matched, total, hyp_len, ref_len, n_order, smooth):
+def _combine(c: _Counts, n_order: int, smooth: bool) -> tuple[float, float, tuple[float, ...]]:
+    """(score, brevity penalty, per-order precisions) from summed counts."""
+    matched, total, hyp_len, ref_len, _ = c
     if hyp_len == 0:  # empty output: the brevity penalty's limit is 0
         return 0.0, 0.0, (0.0,) * n_order
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
@@ -383,6 +344,11 @@ def _combine(matched, total, hyp_len, ref_len, n_order, smooth):
     return score, bp, tuple(precisions)
 
 
+def _report(c: _Counts, n_order: int, smooth: bool, per_bucket: dict, excluded: int) -> BleuReport:
+    score, bp, precisions = _combine(c, n_order, smooth)
+    return BleuReport(score, per_bucket, n_order, bp, precisions, c.hyp_len, c.ref_len, excluded)
+
+
 def corpus_bleu(
     hypotheses: Sequence[str],
     references: Sequence[str],
@@ -403,17 +369,8 @@ def corpus_bleu(
         raise ValidationError("corpus_bleu: empty input")
     if n_order < 1:
         raise ValidationError(f"corpus_bleu: n_order must be >= 1, got {n_order}")
-    (c,) = _bucket_counts([(hypotheses, references)], n_order)
-    score, bp, precisions = _combine(c.matched, c.total, c.hyp_len, c.ref_len, n_order, smooth)
-    return BleuReport(
-        overall=score,
-        per_bucket={},
-        n_order=n_order,
-        bp=bp,
-        precisions=precisions,
-        hyp_len=c.hyp_len,
-        ref_len=c.ref_len,
-    )
+    ((c,),) = _bucket_counts([((hypotheses,), references)], n_order)
+    return _report(c, n_order, smooth, {}, 0)
 
 
 def bucketed_bleu(
@@ -436,12 +393,29 @@ def bucketed_bleu(
     counts of the covered buckets. The sums are exact, so the overall
     score equals ``corpus_bleu`` over the covered items.
     """
-    if not (len(hypotheses) == len(references) == len(sources)):
-        raise ValidationError(
-            "bucketed_bleu: hypotheses, references, and sources must have equal lengths "
-            f"({len(hypotheses)}, {len(references)}, {len(sources)})"
-        )
-    if not hypotheses:
+    return bucketed_bleu_runs([hypotheses], references, sources, buckets, n_order, smooth)[0]
+
+
+def bucketed_bleu_runs(
+    hyp_runs: Sequence[Sequence[str]],
+    references: Sequence[str],
+    sources: Sequence[str],
+    buckets: BucketSpec,
+    n_order: int = 4,
+    smooth: bool = False,
+) -> list[BleuReport]:
+    """``[bucketed_bleu(h, references, sources, ...) for h in hyp_runs]``, in one pass.
+
+    The runs share one source split, one bucket assignment and one set of
+    shard workers, and each reference is prepared once for all of them.
+    """
+    for hypotheses in hyp_runs:
+        if not (len(hypotheses) == len(references) == len(sources)):
+            raise ValidationError(
+                "bucketed_bleu: hypotheses, references, and sources must have equal lengths "
+                f"({len(hypotheses)}, {len(references)}, {len(sources)})"
+            )
+    if not references:
         raise ValidationError("bucketed_bleu: empty input")
     if n_order < 1:
         raise ValidationError(f"bucketed_bleu: n_order must be >= 1, got {n_order}")
@@ -454,30 +428,22 @@ def bucketed_bleu(
     if excluded == len(sources):
         raise ValidationError("bucketed_bleu: every item falls outside the bucket spec")
     members = [np.flatnonzero(idx == b).tolist() for b in range(n_buckets)]
-    counts = _bucket_counts(
-        [([hypotheses[i] for i in m], [references[i] for i in m]) for m in members], n_order
+    run_counts = _bucket_counts(
+        [
+            ([[hyps[i] for i in m] for hyps in hyp_runs], [references[i] for i in m])
+            for m in members
+        ],
+        n_order,
     )
-    per_bucket: dict[str, BucketScore] = {}
-    for label, c in zip(buckets.labels, counts):
-        if c.items == 0:
-            per_bucket[label] = BucketScore(None, 0)
-        else:
-            score, _, _ = _combine(c.matched, c.total, c.hyp_len, c.ref_len, n_order, smooth)
-            per_bucket[label] = BucketScore(score, c.items)
-    covered = _summed(counts, sum(c.items for c in counts))
-    score, bp, precisions = _combine(
-        covered.matched, covered.total, covered.hyp_len, covered.ref_len, n_order, smooth
-    )
-    return BleuReport(
-        overall=score,
-        per_bucket=per_bucket,
-        n_order=n_order,
-        bp=bp,
-        precisions=precisions,
-        hyp_len=covered.hyp_len,
-        ref_len=covered.ref_len,
-        excluded=excluded,
-    )
+    reports = []
+    for counts in run_counts:
+        per_bucket = {
+            label: BucketScore(_combine(c, n_order, smooth)[0] if c.items else None, c.items)
+            for label, c in zip(buckets.labels, counts)
+        }
+        covered = _summed(counts, sum(c.items for c in counts))
+        reports.append(_report(covered, n_order, smooth, per_bucket, excluded))
+    return reports
 
 
 def check_compatible(reports: Sequence[BleuReport]) -> None:

@@ -21,7 +21,7 @@ from .augment import AugmentConfig, DEFAULT_MIN_CONCAT_LEN, DEFAULT_SEP_TOKEN
 from .buckets import BucketSpec, parse_bucket_spec
 from .corpus import Side, line_problem, load_parallel, read_lines, sample, scan_lines, write_sidecar
 from .errors import PipelineError, ValidationError
-from .metrics import BleuReport, average_runs, bucketed_bleu, report_to_csv
+from .metrics import average_runs, bucketed_bleu_runs, report_to_csv
 from .mix import RECIPES, MixRecipe, build_mix, write_mix
 from .report import render_bucket_table, render_diff_chart
 from .translate import Direction, TranslatorSpec, translate_file
@@ -360,12 +360,12 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
             )
             mix_dir = work / "mix"
             write_mix(mixed, mix_dir, sep_token=config.sep_token)
+            del mixed, train  # freed before the decodes are read, so they do not add to the peak
 
             stage = "decode"
-            buckets = config.bucket_spec()
             forward = config.translators()[Direction.FORWARD]
             runs_dir = work / "runs"
-            reports: list[BleuReport] = []
+            decodes: list[list[str]] = []
             for seed in config.run_seeds:
                 run_dir = runs_dir / f"run-{seed}"
                 run_dir.mkdir(parents=True)
@@ -378,13 +378,18 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
                     raise PipelineError(
                         f"run {seed}: decoder returned {len(hyps)} lines for {len(test)} test items"
                     )
-                rep = bucketed_bleu(
-                    hyps, test.targets, test.sources, buckets,
-                    n_order=config.n_order, smooth=config.smooth,
-                )
-                (run_dir / "report.csv").write_text(report_to_csv(rep), encoding="utf-8")
-                reports.append(rep)
+                decodes.append(hyps)
                 stage = "decode"
+
+            stage = "score"
+            reports = bucketed_bleu_runs(
+                decodes, test.targets, test.sources, config.bucket_spec(),
+                n_order=config.n_order, smooth=config.smooth,
+            )
+            for seed, rep in zip(config.run_seeds, reports):
+                (runs_dir / f"run-{seed}" / "report.csv").write_text(
+                    report_to_csv(rep), encoding="utf-8"
+                )
 
             stage = "report"
             averaged = average_runs(reports)

@@ -1,9 +1,11 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from bitextaug import pipeline
 from bitextaug.cli import main
 from bitextaug.corpus import load_parallel, read_sidecar
 from bitextaug.pipeline import PipelineConfig
@@ -330,6 +332,34 @@ class TestRun:
         quarantined = list((tmp_path / "q" / "quarantine").iterdir())
         assert len(quarantined) == 1
         assert quarantined[0].name.endswith("-decode")
+
+    def test_short_decode_quarantines_under_score_naming_its_seed(
+        self, tmp_path, train_files, test_files, capsys, monkeypatch
+    ):
+        # translate_file checks the line count of its own output, so a fake
+        # in its place plays a decoder that comes back one line short on seed 2
+        def decode(spec, input_path, output_path, seed=None):
+            lines = Path(input_path).read_text(encoding="utf-8").splitlines(keepends=True)
+            Path(output_path).write_text("".join(lines[:-1] if seed == 2 else lines), encoding="utf-8")
+            return Path(output_path)
+
+        monkeypatch.setattr(pipeline, "translate_file", decode)
+        code = main(self.run_args(tmp_path, train_files, test_files, "short", recipe="vanilla"))
+        assert code == 2
+        assert "run 2: decoder returned 29 lines for 30 test items" in capsys.readouterr().err
+        quarantined = list((tmp_path / "short" / "quarantine").iterdir())
+        assert [q.name for q in quarantined] == ["0001-score"]
+        assert (quarantined[0] / "runs" / "run-1" / "hyp.txt").is_file()
+        assert not list(quarantined[0].glob("runs/*/report.csv"))  # no seed is scored alone
+
+    def test_scoring_failure_quarantines_under_score(self, tmp_path, train_files, test_files, capsys):
+        # every test source has at least 2 words, so a 1-word bucket covers none
+        args = self.run_args(tmp_path, train_files, test_files, "uncovered", recipe="vanilla")
+        code = main(args + ["--buckets", "1"])
+        assert code == 1
+        assert "every item falls outside the bucket spec" in capsys.readouterr().err
+        quarantined = list((tmp_path / "uncovered" / "quarantine").iterdir())
+        assert [q.name for q in quarantined] == ["0001-score"]
 
     def test_lock_blocks_concurrent_runs(self, tmp_path, train_files, test_files, capsys):
         out_dir = tmp_path / "locked"

@@ -126,6 +126,28 @@ class TestRoundTrip:
         assert b"\r" not in data
         assert data.endswith(b"\n")
 
+    def test_first_line_starting_with_feff_is_refused(self, tmp_path):
+        # scan_lines drops a leading U+FEFF as a byte-order mark, so such a
+        # file would reload as a different corpus
+        src, tgt = tmp_path / "out.src", tmp_path / "out.tgt"
+        for sources, targets, side in (
+            (["\ufeffa b", "c"], ["x", "y"], "source"),
+            (["a b", "c"], ["\ufeffx", "y"], "target"),
+        ):
+            corpus = Corpus(sources, targets, [Origin.ORIGINAL] * 2)
+            with pytest.raises(CorpusFormatError, match=f"first {side} line starts with U\\+FEFF"):
+                save_parallel(corpus, src, tgt)
+            assert not src.exists() and not tgt.exists()
+
+    def test_feff_line_round_trips_unless_a_reorder_puts_it_first(self, tmp_path):
+        corpus = Corpus(["a", "\ufeffb"], ["x", "\ufeffy"], [Origin.ORIGINAL] * 2)
+        src, tgt = tmp_path / "out.src", tmp_path / "out.tgt"
+        save_parallel(corpus, src, tgt)
+        assert load_parallel(src, tgt) == corpus
+        shuffled = corpus.take([1, 0], "shuffled", {})
+        with pytest.raises(CorpusFormatError, match="first source and target line"):
+            save_parallel(shuffled, tmp_path / "s.src", tmp_path / "s.tgt")
+
 
 class TestValidateCorpus:
     def test_clean(self, small_corpus):
@@ -145,6 +167,16 @@ class TestValidateCorpus:
         assert problems == [
             "pair 0: source contains a newline or carriage return",
             "pair 1: target contains a newline or carriage return",
+        ]
+
+    def test_first_line_starting_with_feff_flagged(self):
+        corpus = Corpus(["\ufeffa", "\ufeffb"], ["x", "\ufeffy"], [Origin.ORIGINAL] * 2)
+        assert validate_corpus(corpus) == [
+            "pair 0: source starts with U+FEFF, which reads back as a byte-order mark"
+        ]
+        assert validate_corpus(corpus.take([1, 0], "shuffled", {})) == [
+            "pair 0: source starts with U+FEFF, which reads back as a byte-order mark",
+            "pair 0: target starts with U+FEFF, which reads back as a byte-order mark",
         ]
 
     def test_concat_pair_needs_exactly_one_separator(self):

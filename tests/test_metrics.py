@@ -29,10 +29,31 @@ from bitextaug.metrics import (
     tally_judgments,
     write_judgments,
 )
-from bitextaug.metrics import _ngram_stats_generic, _ngram_stats_order4
+from bitextaug.metrics import _ngram_stats
 
 from conftest import forced_shards
-from oracle import oracle_bleu
+from oracle import count_items, ngram_list, oracle_bleu
+
+
+def oracle_counts(hyps, refs, n_order):
+    """(matched, total, hyp_len, ref_len) counted with the oracle's n-gram helpers."""
+    matched = [0] * n_order
+    total = [0] * n_order
+    for hyp, ref in zip(hyps, refs):
+        for n in range(1, n_order + 1):
+            hyp_counts = count_items(ngram_list(hyp.split(), n))
+            ref_counts = count_items(ngram_list(ref.split(), n))
+            matched[n - 1] += sum(min(k, ref_counts.get(g, 0)) for g, k in hyp_counts.items())
+            total[n - 1] += sum(hyp_counts.values())
+    return matched, total, sum(len(h.split()) for h in hyps), sum(len(r.split()) for r in refs)
+
+
+def assert_kernel_equals_oracle(hyps, refs, message=""):
+    """The kernel's counts for hyps and for an identical run equal the oracle's, orders 1-5."""
+    for n_order in range(1, 6):
+        got = _ngram_stats([hyps, refs], refs, n_order)
+        want = [oracle_counts(hyps, refs, n_order), oracle_counts(refs, refs, n_order)]
+        assert got == want, f"{message} order {n_order}"
 
 
 def random_corpus(rng, n, vocab, min_len=1, max_len=18):
@@ -139,22 +160,22 @@ class TestCorpusBleuOracle:
         want = oracle_bleu([h.split() for h in hyps], [r.split() for r in refs], smooth=True)
         assert got == pytest.approx(want, abs=1e-9)
 
-    def test_fast_path_equals_generic_path(self):
+    def test_kernel_counts_equal_oracle_counts(self):
         rng = random.Random(8)
         vocab = [f"w{i}" for i in range(6)]
         for trial in range(40):
             n = rng.randint(1, 12)
             hyps = random_corpus(rng, n, vocab, max_len=10)
             refs = random_corpus(rng, n, vocab, max_len=10)
-            assert _ngram_stats_order4(hyps, refs) == _ngram_stats_generic(hyps, refs, 4)
+            assert_kernel_equals_oracle(hyps, refs, f"trial {trial}")
 
-    def test_repeat_free_pairs_equal_generic_path_and_oracle(self):
+    def test_repeat_free_pairs_equal_oracle_counts_and_score(self):
         # neither side repeats a token, so every pair takes the position
         # tier; hypotheses splice shared reference runs of length 1-6 with
         # tokens absent from the reference, at lengths 0-200
         edge_h = ["x a", "b x", "x y", "x a b c d", "a b c d y", ""]
         edge_r = ["a b", "a b", "a b", "a b c d", "a b c d", "a"]
-        assert _ngram_stats_order4(edge_h, edge_r) == _ngram_stats_generic(edge_h, edge_r, 4)
+        assert_kernel_equals_oracle(edge_h, edge_r, "edge cases")
         rng = random.Random(4)
         vocab = [f"w{i}" for i in range(5000)]
         for trial in range(60):
@@ -174,8 +195,7 @@ class TestCorpusBleuOracle:
                 assert len(set(ht)) == len(ht) and len(set(rt)) == len(rt)
                 hyps.append(" ".join(ht))
                 refs.append(" ".join(rt))
-            stats = _ngram_stats_order4(hyps, refs)
-            assert stats == _ngram_stats_generic(hyps, refs, 4), f"trial {trial}"
+            assert_kernel_equals_oracle(hyps, refs, f"trial {trial}")
             got = corpus_bleu(hyps, refs, smooth=True).overall
             want = oracle_bleu([x.split() for x in hyps], [x.split() for x in refs], smooth=True)
             assert got == pytest.approx(want, abs=1e-9), f"trial {trial}"

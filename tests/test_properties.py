@@ -26,7 +26,7 @@ from bitextaug.corpus import (
     sample,
     save_parallel,
 )
-from bitextaug.metrics import bucketed_bleu, corpus_bleu
+from bitextaug.metrics import bucketed_bleu, bucketed_bleu_runs, corpus_bleu, report_to_csv
 from bitextaug.mix import MixManifest, MixRecipe, build_mix, mix_manifest, write_mix
 from bitextaug.translate import Direction, TranslatorSpec, back_translate, mock_spec, self_train
 
@@ -428,3 +428,36 @@ def test_reports_do_not_depend_on_the_shard_count(data, n_order, smooth):
             )
         assert len(forked) == 2 * (w - 1)
     assert reports[0] == reports[1] == reports[2]
+
+
+@st.composite
+def decodes(draw, refs):
+    """One decode per reference token list: the references, all empty, or drawn line by line."""
+    kind = draw(st.sampled_from(["identical", "empty", "distinct"]))
+    if kind == "identical":
+        return list(refs)
+    if kind == "empty":
+        return [[] for _ in refs]
+    return [
+        draw(st.one_of(st.just(ref), st.permutations(ref), token_lists(0), st.lists(words, unique=True)))
+        for ref in refs
+    ]
+
+
+@SETTINGS
+@given(scoring_sets(), bucket_specs(), st.integers(1, 5), st.booleans(), st.data())
+def test_scoring_runs_together_equals_scoring_each_alone(data, spec, n_order, smooth, more):
+    _, refs, srcs = data
+    covered = [i for i, src in enumerate(srcs) if linear_bucket(spec, len(src)) is not None]
+    assume(covered)
+    runs = [joined(more.draw(decodes(refs))) for _ in range(more.draw(st.integers(1, 4)))]
+    refs, srcs = joined(refs), joined(srcs)
+    chars = sum(len(run[i]) for run in runs for i in covered)  # excluded items are not scored
+    assume(chars >= 3 * 4)  # chars // (chars // w) == w for w <= 3
+    for w in (1, 2, 3):
+        with forced_shards(3, chars // w) as forked:
+            together = bucketed_bleu_runs(runs, refs, srcs, spec, n_order, smooth)
+            assert len(forked) == w - 1
+            alone = [bucketed_bleu(hyps, refs, srcs, spec, n_order, smooth) for hyps in runs]
+        assert together == alone
+        assert [report_to_csv(r) for r in together] == [report_to_csv(r) for r in alone]
