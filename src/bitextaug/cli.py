@@ -299,8 +299,8 @@ def _cmd_bleu(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    rep_a = report_from_csv(Path(args.a).read_text(encoding="utf-8"))
-    rep_b = report_from_csv(Path(args.b).read_text(encoding="utf-8"))
+    rep_a = report_from_csv("\n".join(read_lines(args.a)))
+    rep_b = report_from_csv("\n".join(read_lines(args.b)))
     diff = diff_by_bucket(rep_a, rep_b)
     for label, value in diff.per_bucket.items():
         print(f"{label}\t{'-' if value is None else f'{value:+.1f}'}")

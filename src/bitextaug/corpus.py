@@ -163,11 +163,17 @@ def scan_lines(path: PathLike) -> Iterator[str]:
 
     Only ``\\n`` ends a line, and one ``\\r`` before it is dropped, so CRLF
     files read like LF files. Any other ``\\r`` stays inside its line. One
-    leading byte-order mark is dropped too; a later U+FEFF is text.
+    leading byte-order mark is dropped too; a later U+FEFF is text. A
+    missing file or invalid UTF-8 raises CorpusFormatError naming the path.
     """
-    with open(path, encoding="utf-8-sig", newline="\n") as f:
-        for line in f:
-            yield line.removesuffix("\n").removesuffix("\r")
+    try:
+        with open(path, encoding="utf-8-sig", newline="\n") as f:
+            for line in f:
+                yield line.removesuffix("\n").removesuffix("\r")
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        raise CorpusFormatError(f"{path}: file not found") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{path}: invalid UTF-8 ({exc})") from exc
 
 
 def line_problem(line: str) -> Optional[str]:
@@ -179,16 +185,37 @@ def line_problem(line: str) -> Optional[str]:
     return None
 
 
-def _read_column(path: Path) -> list[str]:
-    """The lines of one side of a bitext; each must be a corpus sentence."""
-    try:
-        lines = list(scan_lines(path))
-    except UnicodeDecodeError as exc:
-        raise CorpusFormatError(f"invalid UTF-8 in {path}: {exc}") from exc
-    for lineno, problem in enumerate(map(line_problem, lines), start=1):
-        if problem is not None:
-            raise CorpusFormatError(f"{path}:{lineno}: {problem}")
-    return lines
+def read_parallel(
+    source_path: PathLike, target_path: PathLike, sep_token: Optional[str] = None
+) -> tuple[Optional[list[str]], Optional[list[str]], list[str]]:
+    """Read a line-aligned file pair, one pass per file, keeping every line.
+
+    Returns ``(sources, targets, violations)``. The violations name each
+    line that has a line_problem or, with ``sep_token`` given, holds that
+    token; each file scan_lines cannot read, whose column is then None;
+    and a line-count mismatch between two files that were read.
+    """
+    violations: list[str] = []
+    columns: list[Optional[list[str]]] = []
+    for path in (source_path, target_path):
+        lines: Optional[list[str]] = []
+        try:
+            for lineno, line in enumerate(scan_lines(path), start=1):
+                lines.append(line)
+                problem = line_problem(line)
+                if problem is None and sep_token and sep_token in line and sep_token in line.split():
+                    problem = f"contains reserved separator token {sep_token!r}"
+                if problem is not None:
+                    violations.append(f"{path}:{lineno}: {problem}")
+        except CorpusFormatError as exc:
+            violations.append(str(exc))
+            lines = None
+        columns.append(lines)
+    sources, targets = columns
+    if sources is not None and targets is not None and len(sources) != len(targets):
+        counts = f"{len(sources)} vs {len(targets)}"
+        violations.append(f"{source_path} vs {target_path}: line-count mismatch {counts}")
+    return sources, targets, violations
 
 
 def load_parallel(
@@ -201,19 +228,14 @@ def load_parallel(
 ) -> Corpus:
     """Load a line-aligned file pair into a corpus, one column per file.
 
-    Lines are split as scan_lines splits them. Raises CorpusFormatError on
-    a line that is empty or keeps a carriage return (file and line number
-    reported), a line-count mismatch (both counts reported), or invalid
-    UTF-8.
+    The files are read by read_parallel; its first violation, if any, is
+    raised as a CorpusFormatError.
     """
     source_path = Path(source_path)
     target_path = Path(target_path)
-    sources = _read_column(source_path)
-    targets = _read_column(target_path)
-    if len(sources) != len(targets):
-        raise CorpusFormatError(
-            f"line-count mismatch {len(sources)} vs {len(targets)} ({source_path} vs {target_path})"
-        )
+    sources, targets, violations = read_parallel(source_path, target_path)
+    if violations:
+        raise CorpusFormatError(violations[0])
     return Corpus(
         sources,
         targets,
@@ -283,13 +305,11 @@ def write_sidecar(path: PathLike, entries: dict[str, str]) -> None:
 
 def read_sidecar(path: PathLike) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            out[key] = value
+    for line in scan_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        out[key] = value
     return out
 
 

@@ -49,6 +49,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .buckets import BucketSpec
+from .corpus import scan_lines
 from .errors import PipelineError, ValidationError
 
 try:  # C-accelerated counter used by collections.Counter itself
@@ -576,31 +577,28 @@ def tally_judgments(judgments: Sequence[Judgment], buckets: BucketSpec) -> Judgm
 
 
 def read_judgments(path) -> list[Judgment]:
-    """Read a tab-separated judgment file.
+    """Read a tab-separated judgment file, its lines split as scan_lines splits them.
 
     Expected header: item_id <TAB> source_len <TAB> dimension <TAB> verdict.
     """
     out: list[Judgment] = []
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split("\t")
-        expected = ["item_id", "source_len", "dimension", "verdict"]
-        if header != expected:
-            raise ValidationError(
-                f"{path}: bad judgment header {header!r}, expected {expected!r}"
-            )
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValidationError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            item_id, source_len, dimension, verdict = fields
-            try:
-                length = int(source_len)
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: bad source_len {source_len!r}") from exc
-            out.append(Judgment(item_id, length, dimension, verdict))
+    lines = scan_lines(path)
+    header = next(lines, "").split("\t")
+    expected = ["item_id", "source_len", "dimension", "verdict"]
+    if header != expected:
+        raise ValidationError(f"{path}: bad judgment header {header!r}, expected {expected!r}")
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ValidationError(f"{path}:{lineno}: expected 4 tab-separated fields")
+        item_id, source_len, dimension, verdict = fields
+        try:
+            length = int(source_len)
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: bad source_len {source_len!r}") from exc
+        out.append(Judgment(item_id, length, dimension, verdict))
     return out
 
 

@@ -54,6 +54,10 @@ class MixRecipe(NamedTuple):
             return 4 * self.base_size
         return 2 * self.base_size
 
+    @property
+    def derived_shuffle_seed(self) -> int:
+        return self.seed + 2 if self.shuffle_seed is None else self.shuffle_seed
+
 
 def build_mix(
     recipe: MixRecipe,
@@ -137,8 +141,7 @@ def build_mix(
         if all(counts is not None for counts in parts):
             mixed._carry(side, np.concatenate(parts))
     if recipe.shuffle_output:
-        shuffle_seed = recipe.seed + 2 if recipe.shuffle_seed is None else recipe.shuffle_seed
-        order = np.random.default_rng(shuffle_seed).permutation(len(mixed))
+        order = np.random.default_rng(recipe.derived_shuffle_seed).permutation(len(mixed))
         mixed = mixed.take(order, mixed.name, meta)
     return mixed
 

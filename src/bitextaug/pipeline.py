@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 from .augment import AugmentConfig, DEFAULT_MIN_CONCAT_LEN, DEFAULT_SEP_TOKEN
 from .buckets import BucketSpec, parse_bucket_spec
-from .corpus import Side, line_problem, load_parallel, read_lines, sample, scan_lines, write_sidecar
+from .corpus import PRNG_ID, Corpus, Origin, Side, read_lines, read_parallel, sample, write_sidecar
 from .errors import PipelineError, ValidationError
 from .metrics import average_runs, bucketed_bleu_runs, report_to_csv
 from .mix import RECIPES, MixRecipe, build_mix, write_mix
@@ -68,16 +68,14 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: PathLike) -> "PipelineConfig":
         config = cls()
-        # utf-8-sig drops a leading byte-order mark, as scan_lines does
-        with open(path, encoding="utf-8-sig") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, eq, value = line.partition("=")
-                if not eq:
-                    raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                config.set_key(key.strip(), value.strip(), where=f"{path}:{lineno}")
+        for lineno, line in enumerate(read_lines(path), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            config.set_key(key.strip(), value.strip(), where=f"{path}:{lineno}")
         return config
 
     def set_key(self, key: str, value: str, where: str = "override") -> None:
@@ -155,60 +153,37 @@ class PipelineConfig:
         return parse_bucket_spec(self.buckets)
 
 
-def _scan_parallel_files(
-    source: str, target: str, sep_token: str, violations: list[str]
-) -> Optional[int]:
-    """Validate a file pair line by line; append violations; return line count."""
-    for path in (source, target):
-        if not Path(path).is_file():
-            violations.append(f"{path}: file not found")
-    if violations:
-        return None
-    counts = []
-    for path in (source, target):
-        n = 0
-        try:
-            for n, line in enumerate(scan_lines(path), start=1):
-                problem = line_problem(line)
-                if problem is not None:
-                    violations.append(f"{path}:{n}: {problem}")
-                elif sep_token and sep_token in line and sep_token in line.split():
-                    violations.append(
-                        f"{path}:{n}: contains reserved separator token {sep_token!r}"
-                    )
-        except UnicodeDecodeError as exc:
-            violations.append(f"{path}: invalid UTF-8 ({exc})")
-            return None
-        counts.append(n)
-    if counts[0] != counts[1]:
-        violations.append(f"{source} vs {target}: line-count mismatch {counts[0]} vs {counts[1]}")
-        return None
-    return counts[0]
+# one file pair's columns as read_parallel returns them; usable when the pair has no violation
+_Columns = tuple[Optional[list[str]], Optional[list[str]]]
 
 
-def cmd_validate(config: PipelineConfig, check_test: bool = True) -> list[str]:
-    """Check files, token constraints, and translator templates.
-
-    Returns the violation list; empty means clean.
-    """
+def _check_inputs(config: PipelineConfig, check_test: bool) -> tuple[list[str], dict[str, _Columns]]:
+    """cmd_validate's violations, plus the "train" and "test" columns it read."""
     violations: list[str] = []
+    columns: dict[str, _Columns] = {}
     if not config.source or not config.target:
         violations.append("config: source and target files are required")
     else:
-        n_train = _scan_parallel_files(config.source, config.target, config.sep_token, violations)
-        if n_train is not None and config.base_size > n_train:
-            violations.append(
-                f"config: base_size {config.base_size} exceeds corpus size {n_train}"
-            )
-        if n_train is not None and config.base_size == 0 and n_train < 2:
-            violations.append(f"config: training corpus has only {n_train} pairs")
+        sources, targets, found = read_parallel(config.source, config.target, config.sep_token)
+        violations += found
+        columns["train"] = sources, targets
+        if sources is not None and targets is not None and len(sources) == len(targets):
+            n_train = len(sources)
+            if config.base_size > n_train:
+                violations.append(
+                    f"config: base_size {config.base_size} exceeds corpus size {n_train}"
+                )
+            if config.base_size == 0 and n_train < 2:
+                violations.append(f"config: training corpus has only {n_train} pairs")
     if check_test and (config.test_source or config.test_target):
         if not (config.test_source and config.test_target):
             violations.append("config: test_source and test_target must be given together")
         else:
-            _scan_parallel_files(
-                config.test_source, config.test_target, config.sep_token, violations
+            sources, targets, found = read_parallel(
+                config.test_source, config.test_target, config.sep_token
             )
+            violations += found
+            columns["test"] = sources, targets
     if config.recipe not in RECIPES:
         violations.append(f"config: unknown recipe {config.recipe!r}")
     needs_backward = config.recipe in ("vanilla+bt", "vanilla+bt+concat")
@@ -230,7 +205,22 @@ def cmd_validate(config: PipelineConfig, check_test: bool = True) -> list[str]:
         config.augment_config().validate()
     except ValidationError as exc:
         violations.append(f"config: {exc}")
-    return violations
+    return violations, columns
+
+
+def cmd_validate(config: PipelineConfig, check_test: bool = True) -> list[str]:
+    """Check files, token constraints, and translator templates.
+
+    Returns the violation list; empty means clean.
+    """
+    return _check_inputs(config, check_test)[0]
+
+
+def _input_corpus(config: PipelineConfig, name: str, columns: _Columns) -> Corpus:
+    """A file pair that _check_inputs read cleanly, as a corpus of original pairs."""
+    sources, targets = columns
+    origins = (Origin.ORIGINAL,) * len(sources)
+    return Corpus(sources, targets, origins, name, config.source_lang, config.target_lang)
 
 
 class _Lock:
@@ -315,7 +305,7 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
         work.mkdir()
         stage = "validate"
         try:
-            violations = cmd_validate(config)
+            violations, columns = _check_inputs(config, check_test=True)
             if violations:
                 raise ValidationError(
                     "validation failed:\n" + "\n".join(f"  {v}" for v in violations)
@@ -323,20 +313,8 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
             (work / "resolved.cfg").write_text(config.to_text(), encoding="utf-8")
 
             stage = "load"
-            train = load_parallel(
-                config.source,
-                config.target,
-                name="train",
-                source_lang=config.source_lang,
-                target_lang=config.target_lang,
-            )
-            test = load_parallel(
-                config.test_source,
-                config.test_target,
-                name="test",
-                source_lang=config.source_lang,
-                target_lang=config.target_lang,
-            )
+            train = _input_corpus(config, "train", columns.pop("train"))
+            test = _input_corpus(config, "test", columns.pop("test"))
 
             stage = "sample"
             base_size = config.base_size or len(train)
@@ -410,9 +388,7 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
                     "base_size": str(base_size),
                     "sample_seed": str(config.sample_seed),
                     "concat_seed": str(config.concat_seed),
-                    "shuffle_seed": str(
-                        config.shuffle_seed if config.shuffle_seed >= 0 else config.concat_seed + 2
-                    ),
+                    "shuffle_seed": str(recipe.derived_shuffle_seed),
                     "run_seeds": ",".join(str(s) for s in config.run_seeds),
                     "n_runs": str(len(config.run_seeds)),
                     "buckets": config.buckets,
@@ -420,7 +396,7 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
                     "min_concat_len": str(config.min_concat_len),
                     "n_order": str(config.n_order),
                     "smooth": str(config.smooth).lower(),
-                    "prng": "numpy-pcg64",
+                    "prng": PRNG_ID,
                 },
             )
         except BaseException:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .corpus import Corpus, Origin, Side, line_problem, read_lines, scan_lines
-from .errors import TranslatorError, ValidationError
+from .errors import CorpusFormatError, TranslatorError, ValidationError
 
 PathLike = Union[str, Path]
 
@@ -122,10 +122,12 @@ def translate_file(
         raise TranslatorError(
             f"translator {spec.name!r} exited {proc.returncode}: {command}\n{tail}"
         )
-    if not output_path.is_file():
-        raise TranslatorError(f"translator {spec.name!r} produced no output file {output_path}")
     n_in = _count_lines(input_path)
-    n_out = _count_lines(output_path)
+    try:
+        n_out = _count_lines(output_path)
+    except CorpusFormatError as exc:
+        message = f"translator {spec.name!r} produced no output that can be read: {exc}"
+        raise TranslatorError(message) from exc
     if n_in != n_out:
         raise TranslatorError(
             f"translator {spec.name!r} line-count mismatch: {n_in} input lines vs "

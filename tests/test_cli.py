@@ -1,16 +1,20 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from bitextaug import pipeline
 from bitextaug.cli import main
-from bitextaug.corpus import load_parallel, read_sidecar
+from bitextaug.corpus import load_parallel, read_sidecar, scan_lines
 from bitextaug.pipeline import PipelineConfig
 
 from conftest import make_corpus, mock_cmd, write_pair_files
+
+# a translator that writes one byte that is not UTF-8 and ignores its input
+BAD_UTF8_CMD = "printf '\\377\\n' > {OUT} # {IN}"
 
 
 @pytest.fixture
@@ -166,6 +170,28 @@ class TestDataCommands:
         )
         assert code == 3
 
+    def test_missing_source_is_a_validation_error(self, train_files, tmp_path, capsys):
+        missing = tmp_path / "missing.src"
+        code = main(
+            ["sample", "--source", str(missing), "--target", str(train_files[1]),
+             "-n", "2", "--seed", "1", "--out-prefix", str(tmp_path / "sampled")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{missing}: file not found" in err
+        assert "Traceback" not in err
+
+    def test_undecodable_translator_output_exits_3(self, train_files, tmp_path, capsys):
+        src, tgt = train_files
+        code = main(
+            ["bt", "--source", str(src), "--target", str(tgt),
+             "--backward-cmd", BAD_UTF8_CMD, "--out-prefix", str(tmp_path / "bt")]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "translator error" in err and "invalid UTF-8" in err
+        assert "Traceback" not in err
+
     def test_mix(self, train_files, tmp_path):
         src, tgt = train_files
         code = main(
@@ -194,6 +220,24 @@ class TestScoringCommands:
         code = main(["bleu", "--hyp", str(tmp_path / "hyp.txt"), "--ref", str(tmp_path / "ref.txt")])
         assert code == 0
         assert "BLEU = 100.0" in capsys.readouterr().out
+
+    def test_bleu_of_missing_hypotheses(self, tmp_path, capsys):
+        (tmp_path / "ref.txt").write_text("a b c d\n", encoding="utf-8")
+        missing = tmp_path / "hyp.txt"
+        code = main(["bleu", "--hyp", str(missing), "--ref", str(tmp_path / "ref.txt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{missing}: file not found" in err
+        assert "Traceback" not in err
+
+    def test_bleu_of_undecodable_hypotheses(self, tmp_path, capsys):
+        (tmp_path / "hyp.txt").write_bytes(b"a b\n\xff c d\n")
+        (tmp_path / "ref.txt").write_text("a b\nc d\n", encoding="utf-8")
+        code = main(["bleu", "--hyp", str(tmp_path / "hyp.txt"), "--ref", str(tmp_path / "ref.txt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{tmp_path / 'hyp.txt'}: invalid UTF-8" in err
+        assert "Traceback" not in err
 
     def test_bleu_bucketed_with_csv(self, tmp_path, capsys):
         (tmp_path / "hyp.txt").write_text("a b c d\ne f g\n", encoding="utf-8")
@@ -240,6 +284,15 @@ class TestScoringCommands:
         assert code == 0
         assert "overall\t+0.0" in capsys.readouterr().out
         assert (tmp_path / "diff.svg").read_text(encoding="utf-8").startswith("<svg")
+
+    @pytest.mark.parametrize("flags", [["diff", "--a", "{}", "--b", "{}"], ["judge", "--judgments", "{}"]])
+    def test_missing_input_file(self, tmp_path, capsys, flags):
+        missing = tmp_path / "missing"
+        code = main([flag.format(missing) for flag in flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{missing}: file not found" in err
+        assert "Traceback" not in err
 
     def test_judge_command(self, tmp_path, capsys):
         (tmp_path / "j.tsv").write_text(
@@ -333,6 +386,32 @@ class TestRun:
         assert len(quarantined) == 1
         assert quarantined[0].name.endswith("-decode")
 
+    def test_undecodable_decode_quarantines_under_decode(self, tmp_path, train_files, test_files, capsys):
+        args = self.run_args(tmp_path, train_files, test_files, "badbytes", recipe="vanilla")
+        args[args.index("--forward-cmd") + 1] = BAD_UTF8_CMD
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "invalid UTF-8" in err and "Traceback" not in err
+        quarantined = list((tmp_path / "badbytes" / "quarantine").iterdir())
+        assert [q.name for q in quarantined] == ["0001-decode"]
+
+    def test_training_and_test_targets_are_scanned_once(
+        self, tmp_path, train_files, test_files, monkeypatch
+    ):
+        # the test source is left out: translate_file counts its lines on every run seed
+        scanned: Counter = Counter()
+
+        def counting_scan(path):
+            scanned[Path(path)] += 1
+            return scan_lines(path)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("bitextaug") and getattr(module, "scan_lines", None) is scan_lines:
+                monkeypatch.setattr(module, "scan_lines", counting_scan)
+        assert main(self.run_args(tmp_path, train_files, test_files, "once")) == 0
+        assert [scanned[path] for path in (*train_files, test_files[1])] == [1, 1, 1]
+
     def test_short_decode_quarantines_under_score_naming_its_seed(
         self, tmp_path, train_files, test_files, capsys, monkeypatch
     ):
@@ -395,6 +474,14 @@ class TestRun:
         config.write_bytes(b"\xef\xbb\xbfrecipe=vanilla\nbase_size=7\n")
         loaded = PipelineConfig.from_file(config)
         assert (loaded.recipe, loaded.base_size) == ("vanilla", 7)
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        code = main(["run", "--config", str(missing), "--out-dir", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{missing}: file not found" in err
+        assert "Traceback" not in err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

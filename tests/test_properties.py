@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bitextaug.augment import AugmentConfig, concat_augment
@@ -26,6 +26,7 @@ from bitextaug.corpus import (
     sample,
     save_parallel,
 )
+from bitextaug.errors import CorpusFormatError
 from bitextaug.metrics import bucketed_bleu, bucketed_bleu_runs, corpus_bleu, report_to_csv
 from bitextaug.mix import MixManifest, MixRecipe, build_mix, mix_manifest, write_mix
 from bitextaug.translate import Direction, TranslatorSpec, back_translate, mock_spec, self_train
@@ -85,12 +86,18 @@ def assert_concat_row_from_pool(source, target, pool_rows):
 
 @SETTINGS
 @given(st.lists(st.tuples(file_lines, file_lines), max_size=20), non_concat)
+@example([("\ufeffa b", "x")], Origin.ORIGINAL)
 def test_save_then_load_round_trips(pairs, origin):
     sources = [s for s, _ in pairs]
     targets = [t for _, t in pairs]
     corpus = Corpus(sources, targets, [origin] * len(pairs))
     with tempfile.TemporaryDirectory() as td:
         src, tgt = Path(td) / "c.src", Path(td) / "c.tgt"
+        if pairs and (sources[0].startswith("\ufeff") or targets[0].startswith("\ufeff")):
+            # it would read back without the U+FEFF, taken for a byte-order mark
+            with pytest.raises(CorpusFormatError, match="U\\+FEFF"):
+                save_parallel(corpus, src, tgt)
+            return
         save_parallel(corpus, src, tgt)
         again = load_parallel(src, tgt, origin=origin)
     assert again == corpus

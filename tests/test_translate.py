@@ -115,6 +115,13 @@ class TestTranslateFile:
         with pytest.raises(TranslatorError, match="produced no output"):
             translate_file(spec, infile, tmp_path / "out.txt")
 
+    def test_undecodable_output_is_a_translator_error(self, tmp_path):
+        infile = tmp_path / "in.txt"
+        write_lines(infile, ["a"])
+        spec = TranslatorSpec("printf '\\377\\n' > {OUT} # {IN}", Direction.FORWARD, name="bad")
+        with pytest.raises(TranslatorError, match=r"'bad' .*out\.txt: invalid UTF-8"):
+            translate_file(spec, infile, tmp_path / "out.txt")
+
     def test_timeout(self, tmp_path):
         infile = tmp_path / "in.txt"
         write_lines(infile, ["a"])
