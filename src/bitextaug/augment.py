@@ -11,13 +11,11 @@ until the requested number of outputs survives the length filter.
 
 from __future__ import annotations
 
-import operator
-from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .corpus import PRNG_ID, Corpus, Origin, SentencePair, Side
+from .corpus import PRNG_ID, Corpus, Origin, SentencePair, Side, rows_with_token, tokenize
 from .errors import AugmentationError, ValidationError
 
 DEFAULT_SEP_TOKEN = "<sep>"
@@ -41,7 +39,7 @@ class AugmentConfig(NamedTuple):
     max_attempts_factor: int = 100
 
     def validate(self) -> None:
-        if not self.sep_token or self.sep_token.split() != [self.sep_token]:
+        if tokenize(self.sep_token) != [self.sep_token]:
             raise ValidationError(
                 f"sep_token must be a single whitespace-free token, got {self.sep_token!r}"
             )
@@ -63,10 +61,8 @@ def concat_pair(a: SentencePair, b: SentencePair, sep: str = DEFAULT_SEP_TOKEN) 
     for label, p in (("first", a), ("second", b)):
         if p.origin is Origin.CONCAT:
             raise ValidationError(f"concat_pair: {label} input is already concatenated")
-        if sep in p.source.split() or sep in p.target.split():
-            raise ValidationError(
-                f"concat_pair: {label} input contains the separator token {sep!r}"
-            )
+        if sep in tokenize(p.source) or sep in tokenize(p.target):
+            raise ValidationError(f"concat_pair: {label} input contains the separator token {sep!r}")
     return SentencePair(
         f"{a.source} {sep} {b.source}", f"{a.target} {sep} {b.target}", Origin.CONCAT
     )
@@ -104,15 +100,9 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
     _pool_origin(pool)
     n = len(pool)
     src, tgt = pool.sources, pool.targets
-    # substring scan first (C-speed short-circuit over the whole pool);
-    # only on a hit does a line-by-line tokenized check run
-    for lines in (src, tgt):
-        if any(map(operator.contains, lines, repeat(sep))):
-            for i, line in enumerate(lines):
-                if sep in line.split():
-                    raise ValidationError(
-                        f"pool pair {i} contains the reserved separator token {sep!r}"
-                    )
+    rows = rows_with_token(src, sep) or rows_with_token(tgt, sep)
+    if rows:
+        raise ValidationError(f"pool pair {rows[0]} contains the reserved separator token {sep!r}")
 
     lens = pool.token_counts(config.length_side)
     sep_add = 1 if config.count_sep_in_length else 0
@@ -198,15 +188,15 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
 def measure_concat_mean(corpus: Corpus, config: Optional[AugmentConfig] = None) -> float:
     """Mean token count over the corpus, separator handling per config.
 
-    With count_sep_in_length False (the default) one separator occurrence
-    per sentence is excluded from the count.
+    With count_sep_in_length False (the default) every occurrence of the
+    separator token is excluded from the count, however many a sentence holds.
     """
     if len(corpus) == 0:
         raise ValidationError("measure_concat_mean: empty corpus")
     cfg = config or AugmentConfig(seed=0)
-    tokens = map(str.split, corpus.column(cfg.length_side))
-    if cfg.count_sep_in_length:
-        total = sum(map(len, tokens))
-    else:
-        total = sum(len(t) - t.count(cfg.sep_token) for t in tokens)
+    side, sep = cfg.length_side, cfg.sep_token
+    total = int(corpus.token_counts(side).sum(dtype=np.int64))
+    if not cfg.count_sep_in_length:
+        lines = corpus.column(side)
+        total -= sum(tokenize(lines[i]).count(sep) for i in rows_with_token(lines, sep))
     return total / len(corpus)

@@ -68,10 +68,6 @@ class BucketSpec(NamedTuple):
         i = self.index_of(length)
         return None if i is None else self.labels[i]
 
-    @property
-    def open_ended(self) -> bool:
-        return self.bounds[-1] == math.inf
-
 
 # Eight buckets topping out at an open-ended 71+ class: the breakdown used
 # for ordinary test sets.

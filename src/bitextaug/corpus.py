@@ -2,9 +2,11 @@
 
 Corpora are line-aligned plain-text file pairs: UTF-8, LF line endings,
 one sentence per line, equal line counts. In memory a corpus is three
-aligned columns (source lines, target lines, origin tags); a "word" is a
-whitespace-delimited token and every length in this package counts those
-tokens.
+aligned columns (source lines, target lines, origin tags). A token, or
+"word", is a maximal run of characters for which ``str.isspace()`` is
+false, so tab, U+3000, NBSP, U+2028 and U+0085 separate tokens and only
+``\n`` ends a line; ``tokenize`` is that rule, for every length, bucket,
+separator check and BLEU n-gram in the package.
 
 All randomized operations use numpy's PCG64 generator so that a given
 seed reproduces the same output on any platform. The generator id
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import operator
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -26,6 +30,26 @@ from .errors import CorpusFormatError, ValidationError
 PRNG_ID = "numpy-pcg64"
 
 PathLike = Union[str, Path]
+
+# the token rule; str.split itself, since a def wrapper would add a Python
+# frame to each of the BLEU kernel's per-sentence calls
+tokenize = str.split
+
+
+def token_lengths(lines: Sequence[str]) -> np.ndarray:
+    """The token count of every line, as an int32 array."""
+    return np.fromiter(map(len, map(tokenize, lines)), np.int32, count=len(lines))
+
+
+def rows_with_token(lines: Sequence[str], token: str) -> list[int]:
+    """The ascending indices of the lines holding ``token``, which must be one token to be found."""
+    if tokenize(token) != [token]:
+        return []  # a tokenized line holds no empty token and none with whitespace
+    # a line without the substring cannot hold the token, and a hit on it
+    # between two spaces proves it does; only the other lines are tokenized
+    spaced = f" {token} "
+    hits = compress(range(len(lines)), map(operator.contains, lines, repeat(token)))
+    return [i for i in hits if spaced in lines[i] or token in tokenize(lines[i])]
 
 
 class Origin(enum.Enum):
@@ -131,17 +155,10 @@ class Corpus:
         return self.sources if side is Side.SOURCE else self.targets
 
     def token_counts(self, side: Side) -> np.ndarray:
-        """Whitespace-token count of every line of one side, as a read-only int32 array.
-
-        The first call for a side splits its lines; later calls, and the
-        corpora derived from this one, reuse the result.
-        """
-        counts = self._token_counts.get(side)
-        if counts is None:
-            lines = self.column(side)
-            counts = np.fromiter(map(len, map(str.split, lines)), np.int32, count=len(lines))
-            self._carry(side, counts)
-        return counts
+        """One side's token_lengths, read-only, computed once and reused by derived corpora."""
+        if side not in self._token_counts:
+            self._carry(side, token_lengths(self.column(side)))
+        return self._token_counts[side]
 
     def _carry(self, side: Side, counts: np.ndarray) -> None:
         """Cache token counts for one side, derived from another corpus's counts."""
@@ -203,7 +220,7 @@ def read_parallel(
             for lineno, line in enumerate(scan_lines(path), start=1):
                 lines.append(line)
                 problem = line_problem(line)
-                if problem is None and sep_token and sep_token in line and sep_token in line.split():
+                if problem is None and sep_token and sep_token in line and sep_token in tokenize(line):
                     problem = f"contains reserved separator token {sep_token!r}"
                 if problem is not None:
                     violations.append(f"{path}:{lineno}: {problem}")
@@ -324,6 +341,8 @@ def validate_corpus(corpus: Corpus, sep_token: Optional[str] = None) -> list[str
         f"pair 0: {side} starts with U+FEFF, which reads back as a byte-order mark"
         for side in _sides_starting_with_bom(corpus)
     ]
+    if sep_token is not None:  # only these rows need tokenizing
+        sep_rows = {s.value: set(rows_with_token(corpus.column(s), sep_token)) for s in Side}
     for i, p in enumerate(corpus):
         for side_name, line in (("source", p.source), ("target", p.target)):
             if "\n" in line or "\r" in line:
@@ -331,7 +350,7 @@ def validate_corpus(corpus: Corpus, sep_token: Optional[str] = None) -> list[str
             if not line or line.isspace():
                 problems.append(f"pair {i}: empty {side_name}")
             elif sep_token is not None:
-                n_sep = line.split().count(sep_token)
+                n_sep = tokenize(line).count(sep_token) if i in sep_rows[side_name] else 0
                 if p.origin is Origin.CONCAT and n_sep != 1:
                     problems.append(
                         f"pair {i}: concatenated {side_name} has {n_sep} separator tokens, expected 1"

@@ -3,15 +3,15 @@
 BLEU here is the standard corpus-level score: clipped n-gram precisions
 for orders 1..n pooled over the corpus, combined as a geometric mean and
 multiplied by the brevity penalty min(1, e^(1-r/c)), reported on a 0-100
-scale. Single reference, no tokenization (callers supply whitespace
-token-ready text), no smoothing unless requested. Orders for which the
-hypothesis corpus has no n-grams at all are dropped from the geometric
-mean; that degenerate case only arises when every hypothesis is shorter
-than the order and keeps the identity BLEU(h, h) = 100 exact for any
-non-empty corpus. Hypotheses with no tokens at all (a decoder that
-returns only empty lines, for the whole corpus or for one length bucket)
-score 0.0 with brevity penalty 0.0 and all-zero precisions, the limit of
-the brevity penalty as the hypothesis length goes to 0; they do not raise.
+scale. Single reference, tokens as ``corpus.tokenize`` splits them, no
+smoothing unless requested. Orders for which the hypothesis corpus has
+no n-grams at all are dropped from the geometric mean; that degenerate
+case only arises when every hypothesis is shorter than the order and
+keeps the identity BLEU(h, h) = 100 exact for any non-empty corpus.
+Hypotheses with no tokens at all (a decoder that returns only empty
+lines, for the whole corpus or for one length bucket) score 0.0 with
+brevity penalty 0.0 and all-zero precisions, the limit of the brevity
+penalty as the hypothesis length goes to 0; they do not raise.
 
 Scores are computed from additive sufficient statistics: per-order
 clipped-match and total n-gram counts plus the two corpus lengths. These
@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .buckets import BucketSpec
-from .corpus import scan_lines
+from .corpus import scan_lines, token_lengths, tokenize
 from .errors import PipelineError, ValidationError
 
 try:  # C-accelerated counter used by collections.Counter itself
@@ -82,9 +82,6 @@ class BleuReport(NamedTuple):
     hyp_len: int
     ref_len: int
     excluded: int = 0  # items whose source length fell outside the bucket spec
-
-    def bucket_labels(self) -> tuple[str, ...]:
-        return tuple(self.per_bucket)
 
 
 class BleuDiff(NamedTuple):
@@ -137,7 +134,7 @@ def _ngram_stats(hyp_runs: Sequence[Sequence[str]], refs: Sequence[str], n_order
     runs = [([0] * n_order, [], []) for _ in hyp_runs]  # matched, lengths, lengths of equal pairs
     ref_len = 0
     for ref, hyps in zip(refs, zip(*hyp_runs)):
-        rt = ref.split()
+        rt = tokenize(ref)
         lr = len(rt)
         ref_len += lr
         pos = dict(zip(rt, range(lr)))
@@ -145,7 +142,7 @@ def _ngram_stats(hyp_runs: Sequence[Sequence[str]], refs: Sequence[str], n_order
             pos = None
         rcounts = None
         for hyp, (matched, lengths, equal) in zip(hyps, runs):
-            ht = hyp.split()
+            ht = tokenize(hyp)
             lh = len(ht)
             lengths.append(lh)
             if ht == rt:
@@ -420,7 +417,7 @@ def bucketed_bleu_runs(
         raise ValidationError("bucketed_bleu: empty input")
     if n_order < 1:
         raise ValidationError(f"bucketed_bleu: n_order must be >= 1, got {n_order}")
-    src_lens = np.fromiter(map(len, map(str.split, sources)), np.int64, count=len(sources))
+    src_lens = token_lengths(sources)
     if int(src_lens.min()) < 1:
         raise ValidationError("bucketed_bleu: sources must be non-empty sentences")
     idx = buckets.assign(src_lens)
@@ -649,21 +646,25 @@ def report_from_csv(text: str) -> BleuReport:
         raise ValidationError(f"bad report CSV header: {rows[0] if rows else 'missing'}")
     overall = None
     per_bucket: dict[str, BucketScore] = {}
-    for bucket, count, score in rows[1:]:
-        if bucket == "all":
-            overall = float(score)
-        else:
-            per_bucket[bucket] = BucketScore(float(score) if score else None, int(count))
+    for row in rows[1:]:
+        try:
+            bucket, count, score = row
+            if bucket == "all":
+                overall = float(score)
+            else:
+                per_bucket[bucket] = BucketScore(float(score) if score else None, int(count))
+        except ValueError:
+            raise ValidationError(f"bad report CSV row {','.join(row)!r}") from None
     if overall is None:
         raise ValidationError("report CSV missing the 'all' row")
-    precisions = tuple(float(p) for p in meta.get("precisions", "").split(",") if p)
-    return BleuReport(
-        overall=overall,
-        per_bucket=per_bucket,
-        n_order=int(meta.get("n_order", 4)),
-        bp=float(meta.get("bp", 1.0)),
-        precisions=precisions,
-        hyp_len=int(meta.get("hyp_len", 0)),
-        ref_len=int(meta.get("ref_len", 0)),
-        excluded=int(meta.get("excluded", 0)),
-    )
+    fields = {}
+    for key, parse, default in (
+        ("n_order", int, 4), ("bp", float, 1.0), ("hyp_len", int, 0),
+        ("ref_len", int, 0), ("excluded", int, 0),
+        ("precisions", lambda v: tuple(float(p) for p in v.split(",") if p), ()),
+    ):
+        try:
+            fields[key] = parse(meta[key]) if key in meta else default
+        except ValueError:
+            raise ValidationError(f"bad report CSV metadata {key}={meta[key]!r}") from None
+    return BleuReport(overall=overall, per_bucket=per_bucket, **fields)

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .augment import AugmentConfig, concat_augment
-from .corpus import PRNG_ID, Corpus, Origin, Side, save_parallel, write_sidecar
+from .corpus import PRNG_ID, Corpus, Origin, Side, rows_with_token, save_parallel, write_sidecar
 from .errors import ValidationError
 from .translate import Direction, TranslatorSpec, back_translate, self_train
 
@@ -169,23 +169,9 @@ def mix_manifest(corpus: Corpus, sep_token: str = "<sep>") -> MixManifest:
     return MixManifest(
         total=len(corpus),
         per_origin=per_origin,
-        with_separator=_lines_with_token(corpus.sources, sep_token),
+        with_separator=len(rows_with_token(corpus.sources, sep_token)),
         mean_source_len=mean_source_len,
     )
-
-
-def _lines_with_token(lines: Sequence[str], token: str) -> int:
-    """How many lines hold ``token`` as one of their whitespace-delimited tokens."""
-    if token.split() != [token]:
-        return 0  # a split line yields no empty token and none with whitespace
-    # a line without the substring cannot hold the token, and a hit on it
-    # between two spaces proves it does; only the other lines are split
-    spaced = f" {token} "
-    found = 0
-    for line in lines:
-        if token in line:
-            found += spaced in line or token in line.split()
-    return found
 
 
 def write_mix(

@@ -89,6 +89,8 @@ class PipelineConfig:
                 raise ValidationError(f"{where}: bad run_seeds {value!r}") from exc
             if not seeds:
                 raise ValidationError(f"{where}: run_seeds must list at least one seed")
+            if len(set(seeds)) < len(seeds):
+                raise ValidationError(f"{where}: run_seeds repeats seed {max(seeds, key=seeds.count)}")
             setattr(self, key, seeds)
         elif key in self._BOOL_FIELDS:
             if value.lower() not in ("true", "false", "0", "1", "yes", "no"):
@@ -184,6 +186,10 @@ def _check_inputs(config: PipelineConfig, check_test: bool) -> tuple[list[str], 
             )
             violations += found
             columns["test"] = sources, targets
+    if config.base_size < 0 or config.base_size == 1:
+        violations.append(f"config: base_size must be 0 (all pairs) or >= 2, got {config.base_size}")
+    if config.n_order < 1:
+        violations.append(f"config: n_order must be >= 1, got {config.n_order}")
     if config.recipe not in RECIPES:
         violations.append(f"config: unknown recipe {config.recipe!r}")
     needs_backward = config.recipe in ("vanilla+bt", "vanilla+bt+concat")

@@ -235,6 +235,12 @@ class TestMeasureConcatMean:
         corpus = corpus_of([pair("a b <sep> c", "x", Origin.CONCAT)])
         assert measure_concat_mean(corpus) == 3.0
 
+    def test_every_separator_of_a_sentence_is_excluded(self):
+        corpus = corpus_of(
+            [pair("a <sep> b\t<sep> c", "x", Origin.CONCAT), pair("x<sep>y z", "x")]
+        )
+        assert measure_concat_mean(corpus) == (3 + 2) / 2
+
     def test_separator_counted_when_asked(self):
         corpus = corpus_of([pair("a b <sep> c", "x", Origin.CONCAT)])
         cfg = AugmentConfig(seed=0, count_sep_in_length=True)

@@ -88,6 +88,20 @@ class TestValidate:
         assert code == 1
         assert "length_side" in out and "soruce" in out
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--n-order", "0", "n_order must be >= 1, got 0"),
+            ("--base-size", "-1", "base_size must be 0 (all pairs) or >= 2, got -1"),
+            ("--base-size", "1", "base_size must be 0 (all pairs) or >= 2, got 1"),
+        ],
+    )
+    def test_setting_that_run_rejects_is_a_violation(self, train_files, capsys, flag, value, message):
+        src, tgt = train_files
+        code = main(["validate", "--source", str(src), "--target", str(tgt), flag, value])
+        assert code == 1
+        assert message in capsys.readouterr().out
+
     def test_bad_translator_template(self, train_files, capsys):
         src, tgt = train_files
         code = main(
@@ -285,6 +299,25 @@ class TestScoringCommands:
         assert "overall\t+0.0" in capsys.readouterr().out
         assert (tmp_path / "diff.svg").read_text(encoding="utf-8").startswith("<svg")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("# n_order=4\nbucket,count,score\nall,1\n", "bad report CSV row 'all,1'"),
+            ("# n_order=4\nbucket,count,score\nall,1,x\n", "bad report CSV row 'all,1,x'"),
+            ("# n_order=four\nbucket,count,score\nall,1,50.0\n", "n_order='four'"),
+        ],
+    )
+    def test_diff_of_malformed_report(self, tmp_path, capsys, text, message):
+        (tmp_path / "bad.csv").write_text(text, encoding="utf-8")
+        (tmp_path / "good.csv").write_text(
+            "# n_order=4\nbucket,count,score\nall,1,50.0\n", encoding="utf-8"
+        )
+        code = main(["diff", "--a", str(tmp_path / "bad.csv"), "--b", str(tmp_path / "good.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flags", [["diff", "--a", "{}", "--b", "{}"], ["judge", "--judgments", "{}"]])
     def test_missing_input_file(self, tmp_path, capsys, flags):
         missing = tmp_path / "missing"
@@ -344,6 +377,14 @@ class TestRun:
         assert metadata["n_runs"] == "3"
         for seed in (1, 2, 3):
             assert (tmp_path / "out" / "runs" / f"run-{seed}" / "report.csv").exists()
+
+    def test_repeated_run_seed_is_rejected_before_the_run(self, tmp_path, train_files, test_files, capsys):
+        args = self.run_args(tmp_path, train_files, test_files, "dup")
+        args[args.index("1,2,3")] = "1,2,1"
+        code = main(args)
+        assert code == 1
+        assert "--run-seeds: run_seeds repeats seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "dup").exists()
 
     def test_config_file_with_overrides(self, tmp_path, train_files, test_files):
         config = tmp_path / "exp.cfg"

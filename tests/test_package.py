@@ -1,8 +1,10 @@
-"""The package's public names, and what importing it pulls in."""
+"""The package's public names, what importing it pulls in, and where it splits tokens."""
 
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +98,36 @@ def test_mock_translator_runs_without_numpy(tmp_path):
     assert "bitextaug" in imported
     assert "numpy" not in imported
     assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "c b a\n"
+
+
+# corpus owns the token rule; mocks plays a translator, takes no measurement
+# and must start without numpy, so it splits on its own
+MAY_SPLIT_ON_WHITESPACE = {"corpus.py", "mocks.py"}
+
+
+def whitespace_splits(tree):
+    """The lines of the ``x.split()`` calls without a separator and ``str.split`` references."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "split":
+            seps = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "sep"]
+            if not seps or isinstance(seps[0], ast.Constant) and seps[0].value is None:
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (node.value.id, node.attr) == ("str", "split"):
+                yield node.lineno
+
+
+def test_only_corpus_splits_on_whitespace():
+    package = Path(bx.__file__).parent
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name not in MAY_SPLIT_ON_WHITESPACE
+        for lineno in whitespace_splits(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [], "split tokens with bitextaug.corpus.tokenize instead"
+
+
+def test_whitespace_split_finder_sees_every_form():
+    code = "a.split()\nb.split(None)\nc.split(maxsplit=1)\nmap(str.split, d)\ne.split(',')\n"
+    assert sorted(whitespace_splits(ast.parse(code))) == [1, 2, 3, 4]

@@ -23,6 +23,7 @@ from bitextaug.corpus import (
     holdout_split,
     load_parallel,
     read_sidecar,
+    rows_with_token,
     sample,
     save_parallel,
 )
@@ -170,6 +171,8 @@ token_lines = st.lists(
 ).map(lambda parts: "".join(word + space for word, space in parts)).filter(lambda line: not line.isspace())
 
 FEW = settings(max_examples=8, deadline=None)  # each example starts translator processes
+# separator tokens a fast path could mistake: not one token, a longer token, or empty
+ODD_TOKENS = st.sampled_from(["<sep>", "a", "x<sep>y", "<sep> a", ""])
 
 
 @st.composite
@@ -275,9 +278,15 @@ def test_build_mix_carries_source_counts_through_the_shuffle(pool, recipe_name, 
 
 
 @SETTINGS
+@given(st.lists(token_lines, max_size=30), ODD_TOKENS)
+def test_rows_with_token_matches_a_split_scan(lines, token):
+    assert rows_with_token(lines, token) == [i for i, line in enumerate(lines) if token in line.split()]
+
+
+@SETTINGS
 @given(
     st.lists(st.tuples(token_lines, st.sampled_from(Origin)), min_size=1, max_size=30),
-    st.sampled_from(["<sep>", "a", "x<sep>y", "<sep> a", ""]),
+    ODD_TOKENS,
     st.booleans(),
 )
 def test_mix_manifest_matches_a_split_reference(rows, sep_token, cache_first):
@@ -354,8 +363,14 @@ def bucket_specs(draw):
     return BucketSpec.from_bounds(bounds)
 
 
-def joined(token_lists_):
-    return [" ".join(tokens) for tokens in token_lists_]
+@st.composite
+def joined(draw, token_lists_):
+    """One line per token list, each token after a gap drawn from spacing (U+3000, NBSP, ...)."""
+    gaps = draw(st.lists(spacing, min_size=1, max_size=4))
+    return [
+        "".join(gaps[(i + k) % len(gaps)] + token for k, token in enumerate(tokens))
+        for i, tokens in enumerate(token_lists_)
+    ]
 
 
 def linear_bucket(spec, length):
@@ -367,16 +382,17 @@ def linear_bucket(spec, length):
 
 
 @SETTINGS
-@given(scoring_sets(), st.integers(1, 5), st.booleans())
-def test_corpus_bleu_matches_oracle(data, n_order, smooth):
+@given(scoring_sets(), st.integers(1, 5), st.booleans(), st.data())
+def test_corpus_bleu_matches_oracle(data, n_order, smooth, lines):
     hyps, refs, _ = data
-    got = corpus_bleu(joined(hyps), joined(refs), n_order=n_order, smooth=smooth).overall
+    hyp_lines, ref_lines = lines.draw(joined(hyps)), lines.draw(joined(refs))
+    got = corpus_bleu(hyp_lines, ref_lines, n_order=n_order, smooth=smooth).overall
     assert math.isclose(got, oracle_bleu(hyps, refs, n_order, smooth), rel_tol=0, abs_tol=1e-9)
 
 
 @SETTINGS
-@given(scoring_sets(), bucket_specs(), st.integers(1, 5), st.booleans())
-def test_bucketed_bleu_matches_oracle_per_bucket(data, spec, n_order, smooth):
+@given(scoring_sets(), bucket_specs(), st.integers(1, 5), st.booleans(), st.data())
+def test_bucketed_bleu_matches_oracle_per_bucket(data, spec, n_order, smooth, lines):
     hyps, refs, srcs = data
     members = [[] for _ in spec.labels]
     for i, src in enumerate(srcs):
@@ -385,7 +401,8 @@ def test_bucketed_bleu_matches_oracle_per_bucket(data, spec, n_order, smooth):
             members[b].append(i)
     covered = [i for m in members for i in m]
     assume(covered)
-    report = bucketed_bleu(joined(hyps), joined(refs), joined(srcs), spec, n_order, smooth)
+    hyp_lines, ref_lines, src_lines = (lines.draw(joined(side)) for side in data)
+    report = bucketed_bleu(hyp_lines, ref_lines, src_lines, spec, n_order, smooth)
     assert report.excluded == len(srcs) - len(covered)
 
     def oracle(idx):
@@ -419,9 +436,9 @@ def test_bucket_assign_equals_index_of(spec, lengths):
 
 
 @SETTINGS
-@given(scoring_sets(max_size=40), st.integers(1, 5), st.booleans())
-def test_reports_do_not_depend_on_the_shard_count(data, n_order, smooth):
-    hyps, refs, srcs = (joined(side) for side in data)
+@given(scoring_sets(max_size=40), st.integers(1, 5), st.booleans(), st.data())
+def test_reports_do_not_depend_on_the_shard_count(data, n_order, smooth, lines):
+    hyps, refs, srcs = (lines.draw(joined(side)) for side in data)
     chars = sum(map(len, hyps))
     assume(chars >= 3 * 4)  # chars // (chars // w) == w for w <= 3
     reports = []
@@ -457,8 +474,9 @@ def test_scoring_runs_together_equals_scoring_each_alone(data, spec, n_order, sm
     _, refs, srcs = data
     covered = [i for i, src in enumerate(srcs) if linear_bucket(spec, len(src)) is not None]
     assume(covered)
-    runs = [joined(more.draw(decodes(refs))) for _ in range(more.draw(st.integers(1, 4)))]
-    refs, srcs = joined(refs), joined(srcs)
+    n_runs = more.draw(st.integers(1, 4))
+    runs = [more.draw(joined(more.draw(decodes(refs)))) for _ in range(n_runs)]
+    refs, srcs = more.draw(joined(refs)), more.draw(joined(srcs))
     chars = sum(len(run[i]) for run in runs for i in covered)  # excluded items are not scored
     assume(chars >= 3 * 4)  # chars // (chars // w) == w for w <= 3
     for w in (1, 2, 3):
