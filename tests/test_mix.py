@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from bitextaug.augment import AugmentConfig, concat_augment
@@ -204,3 +206,47 @@ class TestWriteMix:
             for counter in ("draws", "rejected_short", "rejected_self"):
                 assert entries[f"meta.concat.{origin}.{counter}"] == meta[counter]
         assert sum(key.startswith("meta.concat.") for key in entries) == 6
+
+
+# The first 16 hex digits of the sha256 of train.src, train.tgt and
+# train.manifest for each (recipe, mock translator, shuffled) case below,
+# recorded before the mix assembly was last reworked: a change that alters
+# any written byte must show up here, not only as a difference between two
+# runs of the same code.
+PINNED_DIGESTS = {
+    ('vanilla', None, True): ('143527226e9c4553', '516acb83a675bcf5', '7b97362f31c93124'),
+    ('vanilla', None, False): ('f5d17843d58bef49', 'e9d13d43f1bd3686', '469495399e829933'),
+    ('vanilla+concat', None, True): ('5c7da07d3e81266d', '35708a0f778cc81c', '35c566fd14c544cd'),
+    ('vanilla+concat', None, False): ('fc0a54514c8e7dbe', 'a46d45ce171403ac', '39b0736e85065e32'),
+    ('vanilla+st', 'identity', True): ('3baa78b77a533d46', '8b6091bcf5ed760b', 'f809669e8b7a9b5d'),
+    ('vanilla+st', 'identity', False): ('27b7a8f4e2ea0f13', '0862d71797836b72', 'fb9562738c648a54'),
+    ('vanilla+st', 'reverse', True): ('3baa78b77a533d46', '26bdf9b7306715e8', '0a385c152c6cfdca'),
+    ('vanilla+st', 'reverse', False): ('27b7a8f4e2ea0f13', 'fdd4c404b8664443', '521608382541e860'),
+    ('vanilla+bt', 'identity', True): ('e552bbe5b6e2b20d', '8fa1e3ebf30e94fa', '789996c0bf440876'),
+    ('vanilla+bt', 'identity', False): ('134fcc292a395147', '82d92f1e562e0216', '17b66032e2f76e05'),
+    ('vanilla+bt', 'reverse', True): ('4cca85b79fea1a97', '8fa1e3ebf30e94fa', '9c9e73206e4a6db8'),
+    ('vanilla+bt', 'reverse', False): ('a1663eecfc4cabe6', '82d92f1e562e0216', '2f1b5105863c0392'),
+    ('vanilla+bt+concat', 'identity', True): ('5c92c112bdd002bf', 'a43735f391c32c48', '1567790c83b2c687'),
+    ('vanilla+bt+concat', 'identity', False): ('bf0aa02224e94bc1', 'c816c9116228d829', '261cca941183ea3b'),
+    ('vanilla+bt+concat', 'reverse', True): ('5d31ddf5cf6e7fac', 'a43735f391c32c48', '383e738518668013'),
+    ('vanilla+bt+concat', 'reverse', False): ('ff735144c705f79e', 'c816c9116228d829', 'b9848d93b0df9e63'),
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("recipe,mock,shuffled", sorted(PINNED_DIGESTS, key=str))
+    def test_mix_files_match_pinned_digests(self, tmp_path, recipe, mock, shuffled):
+        original = make_corpus(24, seed=31, min_len=8, max_len=20)
+        specs = {d: mock_spec(mock, d) for d in Direction} if mock else None
+        mixed = build_mix(
+            MixRecipe(recipe, 24, seed=5, shuffle_output=shuffled),
+            original,
+            translators=specs,
+            augment=AugmentConfig(seed=0, min_concat_len=25),
+        )
+        write_mix(mixed, tmp_path)
+        digests = tuple(
+            hashlib.sha256((tmp_path / f"train.{ext}").read_bytes()).hexdigest()[:16]
+            for ext in ("src", "tgt", "manifest")
+        )
+        assert digests == PINNED_DIGESTS[recipe, mock, shuffled]
