@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .corpus import PRNG_ID, Corpus, Origin, SentencePair, Side, rows_with_token, tokenize
+from .corpus import PRNG_ID, Corpus, Origin, SentencePair, Side, gatherer, rows_with_token, tokenize
 from .errors import AugmentationError, ValidationError
 
 DEFAULT_SEP_TOKEN = "<sep>"
@@ -150,10 +150,10 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
         second[done : done + len(kept)] = j[kept]
         done += len(kept)
 
-    mid = f" {sep} "
-    a_rows, b_rows = first.tolist(), second.tolist()
-    sources = [src[a] + mid + src[b] for a, b in zip(a_rows, b_rows)]
-    targets = [tgt[a] + mid + tgt[b] for a, b in zip(a_rows, b_rows)]
+    join = f" {sep} ".join
+    firsts, seconds = gatherer(first.tolist()), gatherer(second.tolist())
+    sources = map(join, zip(firsts(src), seconds(src)))
+    targets = map(join, zip(firsts(tgt), seconds(tgt)))
     meta = {
         "augment": "concat",
         "pool": pool.name,
@@ -171,7 +171,7 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
     out = Corpus(
         sources,
         targets,
-        (Origin.CONCAT,) * len(sources),
+        (Origin.CONCAT,) * config.target_count,
         f"{pool.name}+concat",
         pool.source_lang,
         pool.target_lang,

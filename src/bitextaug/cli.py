@@ -18,6 +18,7 @@ from .corpus import (
     Corpus,
     Origin,
     holdout_split,
+    lang_code_problems,
     load_parallel,
     read_lines,
     sample as sample_corpus,
@@ -61,6 +62,10 @@ def _add_augment_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_pair(args, origin: Origin = Origin.ORIGINAL) -> Corpus:
+    # the codes name the written files, so a bad one is refused before any work
+    problems = lang_code_problems(args.source_lang, args.target_lang)
+    if problems:
+        raise ValidationError(problems[0])
     return load_parallel(
         args.source,
         args.target,

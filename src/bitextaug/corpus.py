@@ -20,7 +20,7 @@ import hashlib
 import operator
 from itertools import compress, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,6 +52,35 @@ def rows_with_token(lines: Sequence[str], token: str) -> list[int]:
     return [i for i in hits if spaced in lines[i] or token in tokenize(lines[i])]
 
 
+def gatherer(rows: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A function from a column to the tuple of its items at ``rows``, in that order.
+
+    Built once, it picks the same rows from each column in one C-level pass.
+    """
+    if len(rows) > 1:
+        return operator.itemgetter(*rows)
+    # itemgetter of one row returns the bare item, and of none it cannot be built
+    return lambda column: tuple(column[i] for i in rows)
+
+
+def lang_code_problems(source_lang: str, target_lang: str) -> list[str]:
+    """Why two language codes cannot name a corpus's two files, empty when they can.
+
+    A code is the suffix of a written file, so it must be non-empty, free
+    of whitespace and path separators, not a reserved suffix, and differ
+    from the other code.
+    """
+    problems = []
+    for label, code in (("source_lang", source_lang), ("target_lang", target_lang)):
+        if not code or any(c.isspace() or c in "/\\" for c in code):
+            problems.append(f"{label} {code!r} must be non-empty, without whitespace or a path separator")
+        elif code in ("manifest", "meta"):  # the suffixes of the mix manifest and the sidecar
+            problems.append(f"{label} {code!r} is reserved for the {code} file")
+    if source_lang == target_lang:
+        problems.append(f"source_lang and target_lang are both {source_lang!r}")
+    return problems
+
+
 class Origin(enum.Enum):
     """Provenance tag for a sentence pair."""
 
@@ -81,11 +110,13 @@ class Corpus:
     iterating or indexing yields SentencePair rows built on the fly.
     Token counts are split out once per side and cached; the operations
     that derive one corpus from another carry them over without splitting.
+    A mix also carries the manifest that build_mix computed from its
+    components, with the separator token it counted.
     """
 
     __slots__ = (
         "sources", "targets", "origins", "name", "source_lang", "target_lang", "meta",
-        "_token_counts",
+        "_token_counts", "_mix_manifest",
     )
 
     def __init__(
@@ -111,6 +142,7 @@ class Corpus:
         self.target_lang = target_lang
         self.meta: dict[str, str] = dict(meta or {})
         self._token_counts: dict[Side, np.ndarray] = {}
+        self._mix_manifest: Optional[tuple[str, object]] = None
 
     def __len__(self) -> int:
         return len(self.sources)
@@ -138,10 +170,11 @@ class Corpus:
     def take(self, rows: Sequence[int], name: str, meta: dict[str, str]) -> "Corpus":
         """The pairs at ``rows``, in that order, as a new corpus in the same languages."""
         index = np.asarray(rows, dtype=np.intp)
-        picked = index.tolist()
-        columns = (self.sources, self.targets, self.origins)
+        pick = gatherer(index.tolist())
         out = Corpus(
-            *(map(column.__getitem__, picked) for column in columns),
+            pick(self.sources),
+            pick(self.targets),
+            pick(self.origins),
             name,
             self.source_lang,
             self.target_lang,

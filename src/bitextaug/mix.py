@@ -23,8 +23,17 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .augment import AugmentConfig, concat_augment
-from .corpus import PRNG_ID, Corpus, Origin, Side, rows_with_token, save_parallel, write_sidecar
+from .augment import DEFAULT_SEP_TOKEN, AugmentConfig, concat_augment
+from .corpus import (
+    PRNG_ID,
+    Corpus,
+    Origin,
+    Side,
+    gatherer,
+    rows_with_token,
+    save_parallel,
+    write_sidecar,
+)
 from .errors import ValidationError
 from .translate import Direction, TranslatorSpec, back_translate, self_train
 
@@ -71,7 +80,8 @@ def build_mix(
     ``translators`` must carry Direction.BACKWARD for bt recipes and
     Direction.FORWARD for st; ``augment`` is required for concat recipes
     (its target_count is overridden to N per pool). Deterministic given
-    the recipe seed, inputs, and translator behavior.
+    the recipe seed, inputs, and translator behavior. The mix carries its
+    manifest, counted over the components before the shuffle, to write_mix.
     """
     recipe.validate()
     translators = translators or {}
@@ -127,22 +137,35 @@ def build_mix(
             }
         )
     meta.update(concat_counters)
+    # a permutation changes no count, so the manifest is taken in file order
+    sep_token = augment.sep_token if augment is not None else DEFAULT_SEP_TOKEN
+    manifest = _manifest(components, sep_token)
+    sources, targets = (tuple(chain.from_iterable(c.column(side) for c in components)) for side in Side)
+    origins = chain.from_iterable(c.origins for c in components)
+    counts: dict[Side, np.ndarray] = {}
+    for side in Side:
+        parts = [c._cached_counts(side) for c in components]
+        if all(part is not None for part in parts):
+            counts[side] = np.concatenate(parts)
+    if recipe.shuffle_output:
+        order = np.random.default_rng(recipe.derived_shuffle_seed).permutation(manifest.total)
+        pick = gatherer(order.tolist())
+        sources, targets = pick(sources), pick(targets)
+        codes = np.concatenate([_origin_codes(c) for c in components])
+        origins = gatherer(codes[order].tolist())(_ORIGINS)
+        counts = {side: side_counts[order] for side, side_counts in counts.items()}
     mixed = Corpus(
-        chain.from_iterable(c.sources for c in components),
-        chain.from_iterable(c.targets for c in components),
-        chain.from_iterable(c.origins for c in components),
+        sources,
+        targets,
+        origins,
         f"{original.name}[{recipe.name}]",
         original.source_lang,
         original.target_lang,
         meta,
     )
-    for side in Side:
-        parts = [c._cached_counts(side) for c in components]
-        if all(counts is not None for counts in parts):
-            mixed._carry(side, np.concatenate(parts))
-    if recipe.shuffle_output:
-        order = np.random.default_rng(recipe.derived_shuffle_seed).permutation(len(mixed))
-        mixed = mixed.take(order, mixed.name, meta)
+    for side, side_counts in counts.items():
+        mixed._carry(side, side_counts)
+    mixed._mix_manifest = (sep_token, manifest)
     return mixed
 
 
@@ -153,25 +176,43 @@ class MixManifest(NamedTuple):
     mean_source_len: dict[str, float]  # per origin, plain token count
 
 
-def mix_manifest(corpus: Corpus, sep_token: str = "<sep>") -> MixManifest:
-    """Per-origin counts, separator-containing pair count, and mean lengths."""
-    lens = corpus.token_counts(Side.SOURCE)
-    # Origin members are singletons, so their ids tell the rows apart
-    ids = np.fromiter(map(id, corpus.origins), np.intp, len(corpus))
+_ORIGINS = tuple(Origin)
+
+
+def _origin_codes(corpus: Corpus) -> np.ndarray:
+    """Each row's origin as its int8 index in _ORIGINS."""
+    origins = corpus.origins
+    if origins and origins.count(origins[0]) == len(origins):
+        return np.full(len(origins), _ORIGINS.index(origins[0]), np.int8)
+    return np.fromiter(map(_ORIGINS.index, origins), np.int8, len(origins))
+
+
+def _manifest(parts: list[Corpus], sep_token: str) -> MixManifest:
+    """The manifest of the corpus that concatenates ``parts``, read in file order."""
+    codes = np.concatenate([_origin_codes(p) for p in parts])
+    lens = np.concatenate([p.token_counts(Side.SOURCE) for p in parts])
     per_origin: dict[str, int] = {}
     mean_source_len: dict[str, float] = {}
-    for origin in Origin:
-        rows = ids == id(origin)
+    for code, origin in enumerate(_ORIGINS):
+        rows = codes == code
         count = int(np.count_nonzero(rows))
         if count:
             per_origin[origin.value] = count
             mean_source_len[origin.value] = int(lens[rows].sum(dtype=np.int64)) / count
     return MixManifest(
-        total=len(corpus),
+        total=len(codes),
         per_origin=per_origin,
-        with_separator=len(rows_with_token(corpus.sources, sep_token)),
+        with_separator=sum(len(rows_with_token(p.sources, sep_token)) for p in parts),
         mean_source_len=mean_source_len,
     )
+
+
+def mix_manifest(corpus: Corpus, sep_token: str = "<sep>") -> MixManifest:
+    """Per-origin counts, separator-containing pair count, and mean lengths."""
+    carried = corpus._mix_manifest
+    if carried is not None and carried[0] == sep_token:
+        return carried[1]
+    return _manifest([corpus], sep_token)
 
 
 def write_mix(
@@ -185,9 +226,15 @@ def write_mix(
     into different directories stay byte-identical.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     src_path = out_dir / f"{prefix}.{corpus.source_lang}"
     tgt_path = out_dir / f"{prefix}.{corpus.target_lang}"
+    manifest_path = out_dir / f"{prefix}.manifest"
+    if len({src_path, tgt_path, manifest_path}) < 3:
+        raise ValidationError(
+            f"language codes {corpus.source_lang!r} and {corpus.target_lang!r} would make "
+            f"two of {src_path.name}, {tgt_path.name} and {manifest_path.name} one file"
+        )
+    out_dir.mkdir(parents=True, exist_ok=True)
     src_sha256, tgt_sha256 = save_parallel(corpus, src_path, tgt_path)
     manifest = mix_manifest(corpus, sep_token=sep_token)
     entries: dict[str, str] = {
@@ -204,6 +251,5 @@ def write_mix(
         entries[f"mean_source_len.{origin}"] = repr(manifest.mean_source_len[origin])
     for key, value in corpus.meta.items():
         entries[f"meta.{key}"] = value
-    manifest_path = out_dir / f"{prefix}.manifest"
     write_sidecar(manifest_path, entries)
     return manifest_path

@@ -19,7 +19,17 @@ from typing import Optional, Union
 
 from .augment import AugmentConfig, DEFAULT_MIN_CONCAT_LEN, DEFAULT_SEP_TOKEN
 from .buckets import BucketSpec, parse_bucket_spec
-from .corpus import PRNG_ID, Corpus, Origin, Side, read_lines, read_parallel, sample, write_sidecar
+from .corpus import (
+    PRNG_ID,
+    Corpus,
+    Origin,
+    Side,
+    lang_code_problems,
+    read_lines,
+    read_parallel,
+    sample,
+    write_sidecar,
+)
 from .errors import PipelineError, ValidationError
 from .metrics import average_runs, bucketed_bleu_runs, report_to_csv
 from .mix import RECIPES, MixRecipe, build_mix, write_mix
@@ -190,6 +200,7 @@ def _check_inputs(config: PipelineConfig, check_test: bool) -> tuple[list[str], 
         violations.append(f"config: base_size must be 0 (all pairs) or >= 2, got {config.base_size}")
     if config.n_order < 1:
         violations.append(f"config: n_order must be >= 1, got {config.n_order}")
+    violations += [f"config: {p}" for p in lang_code_problems(config.source_lang, config.target_lang)]
     if config.recipe not in RECIPES:
         violations.append(f"config: unknown recipe {config.recipe!r}")
     needs_backward = config.recipe in ("vanilla+bt", "vanilla+bt+concat")

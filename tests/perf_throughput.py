@@ -43,7 +43,7 @@ def main() -> int:
         with open(tgt_path, "w", encoding="utf-8", newline="\n") as f:
             f.writelines(line + "\n" for line in tgt_lines)
 
-        # streaming ingestion builds the pool index without whole-file reads
+        # load_parallel reads each file once, line by line, into the corpus columns
         pool = load_parallel(src_path, tgt_path)
     assert len(pool) == N_PAIRS
 

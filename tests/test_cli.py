@@ -102,6 +102,28 @@ class TestValidate:
         assert code == 1
         assert message in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "source_lang,target_lang,message",
+        [
+            ("", "de", "source_lang '' must be non-empty"),
+            ("en", "en", "source_lang and target_lang are both 'en'"),
+            ("en/x", "de", "source_lang 'en/x' must be non-empty, without whitespace or a path separator"),
+            ("en", "d e", "target_lang 'd e' must be non-empty, without whitespace or a path separator"),
+            ("manifest", "de", "source_lang 'manifest' is reserved for the manifest file"),
+            ("en", "meta", "target_lang 'meta' is reserved for the meta file"),
+        ],
+    )
+    def test_language_code_that_cannot_name_a_file_is_a_violation(
+        self, train_files, capsys, source_lang, target_lang, message
+    ):
+        src, tgt = train_files
+        code = main(
+            ["validate", "--source", str(src), "--target", str(tgt),
+             "--source-lang", source_lang, "--target-lang", target_lang]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().out
+
     def test_bad_translator_template(self, train_files, capsys):
         src, tgt = train_files
         code = main(
@@ -218,6 +240,26 @@ class TestDataCommands:
         entries = read_sidecar(tmp_path / "mixdir" / "train.manifest")
         assert entries["pairs.total"] == "240"
         assert entries["pairs.concat"] == "120"
+
+    @pytest.mark.parametrize("source_lang,target_lang", [("en", "en"), ("manifest", "de"), ("en", "meta")])
+    @pytest.mark.parametrize("command", ["mix", "sample"])
+    def test_clashing_language_codes_write_nothing(
+        self, train_files, tmp_path, capsys, command, source_lang, target_lang
+    ):
+        # codes that clash with each other or with the manifest or sidecar suffix
+        src, tgt = train_files
+        out = tmp_path / "out"
+        langs = ["--source-lang", source_lang, "--target-lang", target_lang]
+        if command == "mix":
+            argv = ["mix", "--recipe", "vanilla", "--seed", "1", "--out-dir", str(out)]
+        else:
+            out.mkdir()
+            argv = ["sample", "-n", "10", "--seed", "1", "--out-prefix", str(out / "sampled")]
+        code = main(argv + ["--source", str(src), "--target", str(tgt)] + langs)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "validation error" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestScoringCommands:

@@ -151,6 +151,17 @@ class TestWriteMix:
         reloaded = load_parallel(tmp_path / "mixdir" / "train.src", tmp_path / "mixdir" / "train.tgt")
         assert [p.source for p in reloaded] == [p.source for p in mixed]
 
+    @pytest.mark.parametrize("source_lang,target_lang", [("en", "en"), ("manifest", "de"), ("en", "manifest")])
+    def test_clashing_paths_raise_before_writing(self, tmp_path, source_lang, target_lang):
+        original = make_corpus(10, seed=12)
+        corpus = Corpus(
+            original.sources, original.targets, original.origins,
+            source_lang=source_lang, target_lang=target_lang,
+        )
+        with pytest.raises(ValidationError, match="one file"):
+            write_mix(corpus, tmp_path / "mixdir")
+        assert not (tmp_path / "mixdir").exists()
+
     def test_mean_lengths_match_brute_force(self, tmp_path):
         n = 30
         original = make_corpus(n, seed=14, min_len=13, max_len=20)

@@ -20,6 +20,7 @@ from bitextaug.corpus import (
     Corpus,
     Origin,
     Side,
+    gatherer,
     holdout_split,
     load_parallel,
     read_sidecar,
@@ -29,7 +30,7 @@ from bitextaug.corpus import (
 )
 from bitextaug.errors import CorpusFormatError
 from bitextaug.metrics import bucketed_bleu, bucketed_bleu_runs, corpus_bleu, report_to_csv
-from bitextaug.mix import MixManifest, MixRecipe, build_mix, mix_manifest, write_mix
+from bitextaug.mix import RECIPES, MixManifest, MixRecipe, build_mix, mix_manifest, write_mix
 from bitextaug.translate import Direction, TranslatorSpec, back_translate, mock_spec, self_train
 
 from conftest import forced_shards
@@ -319,6 +320,51 @@ def test_write_mix_records_the_hashes_of_the_written_files(pool, seed):
         for side in ("source", "target"):
             written = (Path(td) / entries[f"file.{side}"]).read_bytes()
             assert entries[f"sha256.{side}"] == hashlib.sha256(written).hexdigest()
+
+
+def uncached(corpus):
+    """The corpus rebuilt from its columns, without cached counts or a carried manifest."""
+    return Corpus(corpus.sources, corpus.targets, corpus.origins)
+
+
+@pytest.mark.parametrize("recipe_name", RECIPES)
+@FEW
+@given(spaced_pools(min_size=6, max_size=18), st.booleans(), st.integers(0, 2**32 - 1), ODD_TOKENS)
+def test_carried_manifest_equals_a_fresh_one(recipe_name, pool, shuffled, seed, other_sep):
+    # the vanilla+bt pseudo sources hold separators that the manifest must count;
+    # a concat pool may hold none, so the other recipes translate with a mock
+    backward = SEP_EMITTER_SPEC if recipe_name == "vanilla+bt" else mock_spec("reverse", Direction.BACKWARD)
+    translators = {Direction.FORWARD: mock_spec("reverse", Direction.FORWARD), Direction.BACKWARD: backward}
+    recipe = MixRecipe(recipe_name, len(pool), seed=seed, shuffle_output=shuffled)
+    mixed = build_mix(recipe, pool, translators, AugmentConfig(seed=seed, min_concat_len=0))
+    fresh = uncached(mixed)
+    assert mix_manifest(mixed) == mix_manifest(fresh)
+    # a write counting another separator token recounts instead of reading the carried manifest
+    with tempfile.TemporaryDirectory() as td:
+        entries = read_sidecar(write_mix(mixed, td, sep_token=other_sep))
+    assert entries["pairs.with_separator"] == str(mix_manifest(fresh, other_sep).with_separator)
+    assert mix_manifest(mixed, other_sep) == mix_manifest(fresh, other_sep)
+    assert mix_manifest(mixed) == mix_manifest(fresh)
+
+
+@SETTINGS
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=30))))
+@example((5, []))
+@example((5, [3]))
+@example((5, [2, 2, 0, 2]))
+def test_take_and_gatherer_pick_every_row_in_order(case):
+    n, rows = case
+    corpus = numbered(n)
+    corpus.token_counts(Side.SOURCE)
+    for column in (corpus.sources, list(corpus.targets), corpus.origins):
+        picked = gatherer(rows)(column)
+        assert type(picked) is tuple
+        assert picked == tuple(column[i] for i in rows)
+    part = corpus.take(rows, "rows", {})
+    assert rows_of(part) == rows
+    assert part.targets == tuple(f"t{i}" for i in rows)
+    assert part.origins == (Origin.ORIGINAL,) * len(rows)
+    assert_counts_carried(part, [Side.SOURCE])
 
 
 @SETTINGS
