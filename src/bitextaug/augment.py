@@ -152,8 +152,9 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
 
     join = f" {sep} ".join
     firsts, seconds = gatherer(first.tolist()), gatherer(second.tolist())
-    sources = map(join, zip(firsts(src), seconds(src)))
-    targets = map(join, zip(firsts(tgt), seconds(tgt)))
+    # one side at a time, so only one side's gathered halves are alive at once
+    sources = tuple(map(join, zip(firsts(src), seconds(src))))
+    targets = tuple(map(join, zip(firsts(tgt), seconds(tgt))))
     meta = {
         "augment": "concat",
         "pool": pool.name,

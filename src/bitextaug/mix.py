@@ -150,7 +150,8 @@ def build_mix(
     if recipe.shuffle_output:
         order = np.random.default_rng(recipe.derived_shuffle_seed).permutation(manifest.total)
         pick = gatherer(order.tolist())
-        sources, targets = pick(sources), pick(targets)
+        sources = pick(sources)  # frees the unshuffled column before the next is gathered
+        targets = pick(targets)
         codes = np.concatenate([_origin_codes(c) for c in components])
         origins = gatherer(codes[order].tolist())(_ORIGINS)
         counts = {side: side_counts[order] for side, side_counts in counts.items()}
