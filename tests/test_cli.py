@@ -1,4 +1,6 @@
+import hashlib
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -8,8 +10,9 @@ import pytest
 
 from bitextaug import pipeline
 from bitextaug.cli import main
-from bitextaug.corpus import load_parallel, read_sidecar, scan_lines
-from bitextaug.pipeline import PipelineConfig
+from bitextaug.corpus import Corpus, load_parallel, read_sidecar, scan_lines
+from bitextaug.metrics import report_from_csv
+from bitextaug.pipeline import PipelineConfig, cmd_run
 
 from conftest import make_corpus, mock_cmd, write_pair_files
 
@@ -572,3 +575,58 @@ class TestRun:
         code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "x")])
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
+
+
+# sha256 prefixes of every file `run` writes, except resolved.cfg (it names
+# the output directory), for the config in TestRunPinnedBytes: a change to
+# any byte of the mix, the decodes or the reports shows up here, not only as
+# a difference between two runs of the same code.
+PINNED_RUN_DIGESTS = {
+    "mix/train.manifest": "c1255d4de26a5c9f",
+    "mix/train.src": "a920ca27ab0f6216",
+    "mix/train.tgt": "7d495850d0c81a5e",
+    "report/averaged.csv": "ba7ca893c057a999",
+    "report/bucket_table.md": "f90d37d1c2025bd7",
+    "report/metadata.txt": "363089b1d0fc8640",
+    "report/scores.svg": "468b6d6d36ee0abb",
+    "runs/run-1/hyp.txt": "ebc61d95900eea9a",
+    "runs/run-1/report.csv": "5ae8c5d794af87ae",
+    "runs/run-2/hyp.txt": "ebc61d95900eea9a",
+    "runs/run-2/report.csv": "5ae8c5d794af87ae",
+    "runs/run-3/hyp.txt": "ebc61d95900eea9a",
+    "runs/run-3/report.csv": "5ae8c5d794af87ae",
+}
+
+
+class TestRunPinnedBytes:
+    def test_run_files_match_pinned_digests(self, tmp_path):
+        train = make_corpus(40, seed=51, min_len=13, max_len=22)
+        # targets keep about 80% of their source's tokens, so the identity
+        # decodes score strictly between 0 and 100
+        base = make_corpus(30, seed=52, min_len=2, max_len=40, unique_lines=False)
+        rng = random.Random(53)
+        kept = [
+            " ".join(t if rng.random() < 0.8 else f"v{rng.randint(0, 30)}" for t in line.split())
+            for line in base.sources
+        ]
+        test = Corpus(base.sources, kept, base.origins)
+        train_src, train_tgt = write_pair_files(tmp_path, train, prefix="train")
+        test_src, test_tgt = write_pair_files(tmp_path, test, prefix="test")
+        out = tmp_path / "out"
+        cmd_run(
+            PipelineConfig(
+                source=str(train_src), target=str(train_tgt),
+                test_source=str(test_src), test_target=str(test_tgt),
+                out_dir=str(out), recipe="vanilla+bt+concat", base_size=30,
+                forward_cmd=mock_cmd("identity"), backward_cmd=mock_cmd("reverse"),
+                run_seeds=(1, 2, 3),
+            )
+        )
+        digests = {
+            path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+            for path in sorted(out.rglob("*"))
+            if path.is_file() and path.name != "resolved.cfg"
+        }
+        assert digests == PINNED_RUN_DIGESTS
+        averaged = report_from_csv((out / "report" / "averaged.csv").read_text(encoding="utf-8"))
+        assert 0.0 < averaged.overall < 100.0
