@@ -100,8 +100,8 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
     _pool_origin(pool)
     n = len(pool)
     src, tgt = pool.sources, pool.targets
-    rows = rows_with_token(src, sep) or rows_with_token(tgt, sep)
-    if rows:
+    if pool.token_rows(Side.SOURCE, sep) or pool.token_rows(Side.TARGET, sep):
+        rows = rows_with_token(src, sep) or rows_with_token(tgt, sep)
         raise ValidationError(f"pool pair {rows[0]} contains the reserved separator token {sep!r}")
 
     lens = pool.token_counts(config.length_side)
@@ -183,6 +183,8 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
         if counts is not None:
             # the separator joins two lines as one token of its own
             out._carry(side, counts[first] + counts[second] + 1)
+        # neither half holds the separator, so each line holds it once
+        out._carry_rows(side, sep, config.target_count)
     return out
 
 

@@ -110,13 +110,15 @@ class Corpus:
     iterating or indexing yields SentencePair rows built on the fly.
     Token counts are split out once per side and cached; the operations
     that derive one corpus from another carry them over without splitting.
-    A mix also carries the manifest that build_mix computed from its
-    components, with the separator token it counted.
+    So are the numbers of lines that hold a given token (the separator),
+    which concatenation knows from its own construction. A mix also carries
+    the manifest that build_mix computed from its components, with the
+    separator token it counted.
     """
 
     __slots__ = (
         "sources", "targets", "origins", "name", "source_lang", "target_lang", "meta",
-        "_token_counts", "_mix_manifest",
+        "_token_counts", "_token_rows", "_mix_manifest",
     )
 
     def __init__(
@@ -142,6 +144,7 @@ class Corpus:
         self.target_lang = target_lang
         self.meta: dict[str, str] = dict(meta or {})
         self._token_counts: dict[Side, np.ndarray] = {}
+        self._token_rows: dict[tuple[Side, str], int] = {}
         self._mix_manifest: Optional[tuple[str, object]] = None
 
     def __len__(self) -> int:
@@ -200,6 +203,17 @@ class Corpus:
 
     def _cached_counts(self, side: Side) -> Optional[np.ndarray]:
         return self._token_counts.get(side)
+
+    def token_rows(self, side: Side, token: str) -> int:
+        """How many lines of one side hold ``token``: rows_with_token counted once, then cached."""
+        key = (side, token)
+        if key not in self._token_rows:
+            self._token_rows[key] = len(rows_with_token(self.column(side), token))
+        return self._token_rows[key]
+
+    def _carry_rows(self, side: Side, token: str, rows: int) -> None:
+        """Cache token_rows for one side, known from how the corpus was built."""
+        self._token_rows[side, token] = rows
 
 
 class LengthStats(NamedTuple):

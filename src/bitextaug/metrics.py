@@ -35,22 +35,20 @@ assignment and one set of shard workers; ``bucketed_bleu`` and
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import math
 import os
-import pickle
-import signal
 from itertools import repeat
 from operator import add, and_, eq, sub
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .buckets import BucketSpec
 from .corpus import scan_lines, token_lengths, tokenize
-from .errors import PipelineError, ValidationError
+from .errors import ValidationError
+from .forked import map_forked
 
 try:  # C-accelerated counter used by collections.Counter itself
     from collections import _count_elements
@@ -217,73 +215,6 @@ def _shard_count(chars: int) -> int:
     return max(1, min(cpus, chars // SHARD_MIN_CHARS))
 
 
-def _send_and_exit(func: Callable, arg, write_fd: int) -> None:
-    """In a forked child: pickle func(arg), or the exception it raised, into the pipe; exit."""
-    code = 1
-    try:
-        try:
-            payload = (True, func(arg))
-        except BaseException as exc:  # re-raised in the parent
-            payload = (False, exc)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-        code = 0
-    finally:
-        os._exit(code)  # never unwind into the parent's code, run its atexit or flush its buffers
-
-
-def _map_forked(func: Callable, args: Sequence) -> list:
-    """[func(a) for a in args], args[0] here and each later one in a forked child.
-
-    An exception raised in a child is raised here. A child that exits
-    without sending its whole result raises PipelineError; nothing partial
-    is returned. Every child is reaped before this returns or raises, and
-    on an exception or interrupt the children still running are killed
-    first.
-    """
-    children: list[tuple[int, io.BufferedReader]] = []  # not yet reaped
-    try:
-        for arg in args[1:]:
-            read_fd, write_fd = os.pipe()
-            pipe = open(read_fd, "rb")
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _send_and_exit(func, arg, write_fd)
-            except BaseException:
-                pipe.close()
-                raise
-            finally:
-                os.close(write_fd)  # EOF comes when the child exits only if no later child holds it
-            children.append((pid, pipe))
-        results = [func(args[0])]
-        while children:
-            pid, pipe = children[0]
-            data = pipe.read()
-            pipe.close()
-            _, status = os.waitpid(pid, 0)
-            del children[0]
-            try:
-                ok, value = pickle.loads(data)
-            except (EOFError, pickle.UnpicklingError):
-                raise PipelineError(
-                    f"BLEU shard worker {pid} ended (exit code "
-                    f"{os.waitstatus_to_exitcode(status)}) without sending its counts"
-                ) from None
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for pid, _ in children:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-        for pid, pipe in children:
-            pipe.close()
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-
-
 def _bucket_counts(
     buckets: Sequence[tuple[Sequence[Sequence[str]], Sequence[str]]], n_order: int
 ) -> list[list[_Counts]]:
@@ -298,8 +229,11 @@ def _bucket_counts(
     shards = [
         [([hyps[s::w] for hyps in runs], refs[s::w]) for runs, refs in buckets] for s in range(w)
     ]
-    per_shard = _map_forked(
-        lambda shard: [_ngram_stats(runs, refs, n_order) for runs, refs in shard], shards
+    per_shard = map_forked(
+        lambda shard: [_ngram_stats(runs, refs, n_order) for runs, refs in shard],
+        shards,
+        worker="BLEU shard worker",
+        result="counts",
     )
     n_runs = len(buckets[0][0])
     return [

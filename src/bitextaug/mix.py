@@ -30,7 +30,6 @@ from .corpus import (
     Origin,
     Side,
     gatherer,
-    rows_with_token,
     save_parallel,
     write_sidecar,
 )
@@ -203,7 +202,7 @@ def _manifest(parts: list[Corpus], sep_token: str) -> MixManifest:
     return MixManifest(
         total=len(codes),
         per_origin=per_origin,
-        with_separator=sum(len(rows_with_token(p.sources, sep_token)) for p in parts),
+        with_separator=sum(p.token_rows(Side.SOURCE, sep_token) for p in parts),
         mean_source_len=mean_source_len,
     )
 

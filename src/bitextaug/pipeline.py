@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 import shutil
 from pathlib import Path
 from typing import Optional, Union
@@ -31,7 +32,8 @@ from .corpus import (
     write_sidecar,
 )
 from .errors import PipelineError, ValidationError
-from .metrics import average_runs, bucketed_bleu_runs, report_to_csv
+from .forked import map_forked
+from .metrics import BleuReport, average_runs, bucketed_bleu_runs, report_to_csv
 from .mix import RECIPES, MixRecipe, build_mix, write_mix
 from .report import render_bucket_table, render_diff_chart
 from .translate import Direction, TranslatorSpec, translate_file
@@ -291,19 +293,65 @@ class _Lock:
 def _quarantine(out_dir: Path, work: Path, stage: str) -> Path:
     qroot = out_dir / "quarantine"
     qroot.mkdir(parents=True, exist_ok=True)
-    existing = [int(p.name.split("-", 1)[0]) for p in qroot.iterdir() if p.name[:4].isdigit()]
-    number = max(existing, default=0) + 1
+    numbers = (re.fullmatch(r"([0-9]{4,})-.*", p.name) for p in qroot.iterdir())
+    number = max((int(m[1]) for m in numbers if m), default=0) + 1
     qdir = qroot / f"{number:04d}-{stage}"
     work.rename(qdir)
     return qdir
 
 
+class _InStage(Exception):
+    """A test-side error, sent to the parent as (stage, error)."""
+
+
+def _decode_and_score(config: PipelineConfig, test: Corpus, runs_dir: Path) -> list[BleuReport]:
+    """The test side of a run: decode the test set once per run seed, then score every run.
+
+    Writes runs/run-<seed>/hyp.txt and report.csv and returns the reports.
+    Any error is raised as _InStage(stage, error), stage being decode or score.
+    """
+    stage = "decode"
+    try:
+        forward = config.translators()[Direction.FORWARD]
+        decodes: list[list[str]] = []
+        for seed in config.run_seeds:
+            run_dir = runs_dir / f"run-{seed}"
+            run_dir.mkdir(parents=True)
+            hyp_path = translate_file(
+                forward, Path(config.test_source), run_dir / "hyp.txt", seed=seed
+            )
+            stage = "score"
+            hyps = read_lines(hyp_path)
+            if len(hyps) != len(test):
+                raise PipelineError(
+                    f"run {seed}: decoder returned {len(hyps)} lines for {len(test)} test items"
+                )
+            decodes.append(hyps)
+            stage = "decode"
+
+        stage = "score"
+        reports = bucketed_bleu_runs(
+            decodes, test.targets, test.sources, config.bucket_spec(),
+            n_order=config.n_order, smooth=config.smooth,
+        )
+        for seed, rep in zip(config.run_seeds, reports):
+            (runs_dir / f"run-{seed}" / "report.csv").write_text(
+                report_to_csv(rep), encoding="utf-8"
+            )
+        return reports
+    except BaseException as exc:
+        raise _InStage(stage, exc) from None
+
+
 def cmd_run(config: PipelineConfig) -> dict[str, Path]:
     """Run the full pipeline; returns a map of output names to paths.
 
-    Stages: validate, load, sample, mix, decode, score, report. On
+    Stages: validate, load, sample, mix, decode, score, report. After
+    load, the train side (sample, mix) runs in this process while the test
+    side (decode, score) runs in a forked child; report follows both. On
     failure the staging directory moves to quarantine/<NNNN>-<stage> and
-    the error is re-raised; prior successful outputs are never touched by
+    the error is re-raised; when both sides fail, the train side's error
+    and stage win. Prior successful outputs are never touched by
     quarantining.
     """
     if not config.out_dir:
@@ -332,13 +380,7 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
             stage = "load"
             train = _input_corpus(config, "train", columns.pop("train"))
             test = _input_corpus(config, "test", columns.pop("test"))
-
-            stage = "sample"
             base_size = config.base_size or len(train)
-            if base_size < len(train):
-                train = sample(train, base_size, config.sample_seed)
-
-            stage = "mix"
             recipe = MixRecipe(
                 name=config.recipe,
                 base_size=base_size,
@@ -346,45 +388,34 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
                 shuffle_output=config.shuffle_output,
                 shuffle_seed=None if config.shuffle_seed < 0 else config.shuffle_seed,
             )
-            mixed = build_mix(
-                recipe,
-                train,
-                translators=config.translators(),
-                augment=config.augment_config(),
-                workdir=work,
-            )
-            mix_dir = work / "mix"
-            write_mix(mixed, mix_dir, sep_token=config.sep_token)
-            del mixed, train  # freed before the decodes are read, so they do not add to the peak
 
-            stage = "decode"
-            forward = config.translators()[Direction.FORWARD]
-            runs_dir = work / "runs"
-            decodes: list[list[str]] = []
-            for seed in config.run_seeds:
-                run_dir = runs_dir / f"run-{seed}"
-                run_dir.mkdir(parents=True)
-                hyp_path = translate_file(
-                    forward, Path(config.test_source), run_dir / "hyp.txt", seed=seed
-                )
-                stage = "score"
-                hyps = read_lines(hyp_path)
-                if len(hyps) != len(test):
-                    raise PipelineError(
-                        f"run {seed}: decoder returned {len(hyps)} lines for {len(test)} test items"
-                    )
-                decodes.append(hyps)
-                stage = "decode"
+            def sample_and_mix() -> None:
+                nonlocal stage, train
+                stage = "sample"
+                if base_size < len(train):
+                    train = sample(train, base_size, config.sample_seed)  # frees the unsampled pairs
 
-            stage = "score"
-            reports = bucketed_bleu_runs(
-                decodes, test.targets, test.sources, config.bucket_spec(),
-                n_order=config.n_order, smooth=config.smooth,
-            )
-            for seed, rep in zip(config.run_seeds, reports):
-                (runs_dir / f"run-{seed}" / "report.csv").write_text(
-                    report_to_csv(rep), encoding="utf-8"
+                stage = "mix"
+                mixed = build_mix(
+                    recipe,
+                    train,
+                    translators=config.translators(),
+                    augment=config.augment_config(),
+                    workdir=work,
                 )
+                write_mix(mixed, work / "mix", sep_token=config.sep_token)
+                stage = "decode"  # what is left is the test side, in the child
+
+            try:
+                _, reports = map_forked(
+                    lambda side: side(),
+                    [sample_and_mix, lambda: _decode_and_score(config, test, work / "runs")],
+                    worker="test-side worker",
+                    result="reports",
+                )
+            except _InStage as failed:
+                stage, error = failed.args
+                raise error from None
 
             stage = "report"
             averaged = average_runs(reports)

@@ -1,8 +1,10 @@
 import hashlib
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -526,6 +528,18 @@ class TestRun:
         quarantined = list((tmp_path / "uncovered" / "quarantine").iterdir())
         assert [q.name for q in quarantined] == ["0001-score"]
 
+    def test_stray_name_in_quarantine_is_not_numbered(self, tmp_path, train_files, test_files, capsys):
+        out_dir = tmp_path / "stray"
+        for name in ("2024notes", "0003-mix", "12-x", "\u00b2\u00b2\u00b2\u00b2-x"):
+            (out_dir / "quarantine" / name).mkdir(parents=True)
+        args = self.run_args(tmp_path, train_files, test_files, "stray", recipe="vanilla")
+        args[args.index("--forward-cmd") + 1] = "false # {IN} {OUT}"
+        assert main(args) == 3
+        assert "translator 'forward' exited 1" in capsys.readouterr().err
+        names = sorted(p.name for p in (out_dir / "quarantine").iterdir())
+        assert names == sorted(["0004-decode", "2024notes", "0003-mix", "12-x", "\u00b2\u00b2\u00b2\u00b2-x"])
+        assert not (out_dir / ".work").exists()
+
     def test_lock_blocks_concurrent_runs(self, tmp_path, train_files, test_files, capsys):
         out_dir = tmp_path / "locked"
         out_dir.mkdir()
@@ -630,3 +644,126 @@ class TestRunPinnedBytes:
         assert digests == PINNED_RUN_DIGESTS
         averaged = report_from_csv((out / "report" / "averaged.csv").read_text(encoding="utf-8"))
         assert 0.0 < averaged.overall < 100.0
+
+
+def shell_quote(path) -> str:
+    return "'" + str(path).replace("'", "'\\''") + "'"
+
+
+class TestRunSides:
+    """The train side (sample, mix) runs in the parent while a forked child decodes and scores."""
+
+    def run_args(self, tmp_path, train, test, out_name, forward, backward):
+        return [
+            "run",
+            "--source", str(train[0]), "--target", str(train[1]),
+            "--test-source", str(test[0]), "--test-target", str(test[1]),
+            "--recipe", "vanilla+bt+concat", "--base-size", "50",
+            "--backward-cmd", backward, "--forward-cmd", forward,
+            "--run-seeds", "1,2",
+            "--out-dir", str(tmp_path / out_name),
+        ]
+
+    @staticmethod
+    def sleeping_decoder(pid_file) -> str:
+        """A forward command that writes its PID to pid_file, then sleeps."""
+        pid = shell_quote(pid_file)
+        return f"echo $$ > {pid}.tmp && mv {pid}.tmp {pid} && exec sleep 60 # {{IN}} {{OUT}}"
+
+    @staticmethod
+    def wait_for(pid_file) -> str:
+        """Shell code that waits up to 20 s for pid_file to appear."""
+        pid = shell_quote(pid_file)
+        return f"i=0; while [ ! -e {pid} ] && [ $i -lt 400 ]; do sleep 0.05; i=$((i+1)); done"
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids forked meanwhile; each must be reaped by the time the test ends."""
+        forked = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        yield forked
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @staticmethod
+    def assert_gone(pid_file):
+        pid = int(pid_file.read_text(encoding="ascii"))
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return
+            time.sleep(0.05)
+        os.kill(pid, signal.SIGKILL)
+        pytest.fail(f"decoder {pid} was left running")
+
+    def test_failing_mix_stops_the_decoder(self, tmp_path, train_files, test_files, capsys, forks):
+        pid_file = tmp_path / "decoder.pid"
+        backward = f"{self.wait_for(pid_file)}; exit 5 # {{IN}} {{OUT}}"
+        args = self.run_args(
+            tmp_path, train_files, test_files, "orphan", self.sleeping_decoder(pid_file), backward
+        )
+        start = time.monotonic()
+        assert main(args) == 3
+        assert time.monotonic() - start < 30
+        assert "translator 'backward' exited 5" in capsys.readouterr().err
+        assert [q.name for q in (tmp_path / "orphan" / "quarantine").iterdir()] == ["0001-mix"]
+        assert forks
+        self.assert_gone(pid_file)
+
+    def test_interrupted_mix_stops_the_decoder(self, tmp_path, train_files, test_files, monkeypatch, forks):
+        pid_file = tmp_path / "decoder.pid"
+
+        def interrupted_mix(*args, **kwargs):
+            deadline = time.monotonic() + 20
+            while not pid_file.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "build_mix", interrupted_mix)
+        args = self.run_args(
+            tmp_path, train_files, test_files, "interrupted", self.sleeping_decoder(pid_file),
+            mock_cmd("identity"),
+        )
+        with pytest.raises(KeyboardInterrupt):
+            main(args)
+        assert [q.name for q in (tmp_path / "interrupted" / "quarantine").iterdir()] == ["0001-mix"]
+        self.assert_gone(pid_file)
+
+    def test_failing_decode_with_a_good_mix_quarantines_under_decode(
+        self, tmp_path, train_files, test_files, capsys, forks
+    ):
+        args = self.run_args(
+            tmp_path, train_files, test_files, "decode", "exit 4 # {IN} {OUT}", mock_cmd("identity")
+        )
+        assert main(args) == 3
+        assert "translator 'forward' exited 4" in capsys.readouterr().err
+        quarantined = list((tmp_path / "decode" / "quarantine").iterdir())
+        assert [q.name for q in quarantined] == ["0001-decode"]
+        assert (quarantined[0] / "mix" / "train.manifest").is_file()  # the train side finished
+
+    def test_when_both_sides_fail_the_train_side_wins(self, tmp_path, train_files, test_files, capsys, forks):
+        # the decoder fails at once; the back-translator fails once that failure is written
+        failed = tmp_path / "decode.failed"
+        forward = f"touch {shell_quote(failed)}; exit 4 # {{IN}} {{OUT}}"
+        backward = f"{self.wait_for(failed)}; exit 5 # {{IN}} {{OUT}}"
+        args = self.run_args(tmp_path, train_files, test_files, "both", forward, backward)
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "translator 'backward' exited 5" in err
+        assert "exited 4" not in err
+        assert [q.name for q in (tmp_path / "both" / "quarantine").iterdir()] == ["0001-mix"]
+
+    def test_without_fork_the_sides_run_in_turn_and_write_the_same_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        TestRunPinnedBytes().test_run_files_match_pinned_digests(tmp_path)

@@ -1,9 +1,10 @@
 import hashlib
+import sys
 
 import pytest
 
 from bitextaug.augment import AugmentConfig, concat_augment
-from bitextaug.corpus import Corpus, Origin, load_parallel, read_sidecar
+from bitextaug.corpus import Corpus, Origin, load_parallel, read_sidecar, rows_with_token
 from bitextaug.errors import ValidationError
 from bitextaug.mix import MixRecipe, build_mix, mix_manifest, write_mix
 from bitextaug.translate import Direction, back_translate, mock_spec
@@ -217,6 +218,25 @@ class TestWriteMix:
             for counter in ("draws", "rejected_short", "rejected_self"):
                 assert entries[f"meta.concat.{origin}.{counter}"] == meta[counter]
         assert sum(key.startswith("meta.concat.") for key in entries) == 6
+
+    def test_separator_scans_skip_what_concat_rules_out(self, tmp_path, monkeypatch):
+        # concat scans each pool side once; its own lines and the pool's
+        # sources are not scanned again for the manifest
+        scanned = []
+
+        def counting(lines, token):
+            scanned.append(lines)
+            return rows_with_token(lines, token)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("bitextaug") and getattr(module, "rows_with_token", None) is rows_with_token:
+                monkeypatch.setattr(module, "rows_with_token", counting)
+        n = 30
+        original = make_corpus(n, seed=16, min_len=13, max_len=20)
+        mixed = build_mix(MixRecipe("vanilla+concat", n, seed=3), original, augment=augment_cfg())
+        entries = read_sidecar(write_mix(mixed, tmp_path / "mixdir"))
+        assert entries["pairs.with_separator"] == str(n)
+        assert [id(lines) for lines in scanned] == [id(original.sources), id(original.targets)]
 
 
 # The first 16 hex digits of the sha256 of train.src, train.tgt and
