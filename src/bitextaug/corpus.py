@@ -110,10 +110,10 @@ class Corpus:
     iterating or indexing yields SentencePair rows built on the fly.
     Token counts are split out once per side and cached; the operations
     that derive one corpus from another carry them over without splitting.
-    So are the numbers of lines that hold a given token (the separator),
-    which concatenation knows from its own construction. A mix also carries
-    the manifest that build_mix computed from its components, with the
-    separator token it counted.
+    How many lines of a side hold a given token (the separator) is also
+    counted once and cached; concatenation sets it for its output from its
+    own construction. A mix also carries the manifest that build_mix
+    computed from its components, with the separator token it counted.
     """
 
     __slots__ = (

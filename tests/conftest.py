@@ -62,12 +62,8 @@ def small_corpus():
     return make_corpus(40, seed=7, min_len=5, max_len=18)
 
 
-@contextlib.contextmanager
-def forced_shards(cpus: int, min_chars: int):
-    """Let BLEU scoring see `cpus` usable CPUs and a shard floor of `min_chars` characters.
-
-    Yields the list of shard workers' pids forked meanwhile.
-    """
+def record_forks(mp: pytest.MonkeyPatch) -> list:
+    """The list to which each pid that os.fork returns in this process is added, until mp is undone."""
     forked = []
     real_fork = os.fork
 
@@ -77,8 +73,17 @@ def forced_shards(cpus: int, min_chars: int):
             forked.append(pid)
         return pid
 
+    mp.setattr(os, "fork", fork)
+    return forked
+
+
+@contextlib.contextmanager
+def forced_shards(cpus: int, min_chars: int):
+    """Let BLEU scoring see `cpus` usable CPUs and a shard floor of `min_chars` characters.
+
+    Yields the list of shard workers' pids forked meanwhile.
+    """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        mp.setattr(metrics.os, "fork", fork)
         mp.setattr(metrics, "SHARD_MIN_CHARS", min_chars)
-        yield forked
+        yield record_forks(mp)

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import shlex
 import signal
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from bitextaug.corpus import Corpus, load_parallel, read_sidecar, scan_lines
 from bitextaug.metrics import report_from_csv
 from bitextaug.pipeline import PipelineConfig, cmd_run
 
-from conftest import make_corpus, mock_cmd, write_pair_files
+from conftest import make_corpus, mock_cmd, record_forks, write_pair_files
 
 # a translator that writes one byte that is not UTF-8 and ignores its input
 BAD_UTF8_CMD = "printf '\\377\\n' > {OUT} # {IN}"
@@ -646,10 +647,6 @@ class TestRunPinnedBytes:
         assert 0.0 < averaged.overall < 100.0
 
 
-def shell_quote(path) -> str:
-    return "'" + str(path).replace("'", "'\\''") + "'"
-
-
 class TestRunSides:
     """The train side (sample, mix) runs in the parent while a forked child decodes and scores."""
 
@@ -667,28 +664,19 @@ class TestRunSides:
     @staticmethod
     def sleeping_decoder(pid_file) -> str:
         """A forward command that writes its PID to pid_file, then sleeps."""
-        pid = shell_quote(pid_file)
+        pid = shlex.quote(str(pid_file))
         return f"echo $$ > {pid}.tmp && mv {pid}.tmp {pid} && exec sleep 60 # {{IN}} {{OUT}}"
 
     @staticmethod
-    def wait_for(pid_file) -> str:
-        """Shell code that waits up to 20 s for pid_file to appear."""
-        pid = shell_quote(pid_file)
-        return f"i=0; while [ ! -e {pid} ] && [ $i -lt 400 ]; do sleep 0.05; i=$((i+1)); done"
+    def wait_for(path) -> str:
+        """Shell code that waits up to 20 s for a file to appear."""
+        quoted = shlex.quote(str(path))
+        return f"i=0; while [ ! -e {quoted} ] && [ $i -lt 400 ]; do sleep 0.05; i=$((i+1)); done"
 
     @pytest.fixture
     def forks(self, monkeypatch):
         """The pids forked meanwhile; each must be reaped by the time the test ends."""
-        forked = []
-        real_fork = os.fork
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                forked.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
+        forked = record_forks(monkeypatch)
         yield forked
         for pid in forked:
             with pytest.raises(ChildProcessError):
@@ -755,7 +743,7 @@ class TestRunSides:
     def test_when_both_sides_fail_the_train_side_wins(self, tmp_path, train_files, test_files, capsys, forks):
         # the decoder fails at once; the back-translator fails once that failure is written
         failed = tmp_path / "decode.failed"
-        forward = f"touch {shell_quote(failed)}; exit 4 # {{IN}} {{OUT}}"
+        forward = f"touch {shlex.quote(str(failed))}; exit 4 # {{IN}} {{OUT}}"
         backward = f"{self.wait_for(failed)}; exit 5 # {{IN}} {{OUT}}"
         args = self.run_args(tmp_path, train_files, test_files, "both", forward, backward)
         assert main(args) == 3
