@@ -112,8 +112,10 @@ class Corpus:
     that derive one corpus from another carry them over without splitting.
     How many lines of a side hold a given token (the separator) is also
     counted once and cached; concatenation sets it for its output from its
-    own construction. A mix also carries the manifest that build_mix
-    computed from its components, with the separator token it counted.
+    own construction, a subset of lines carries a count of 0, and
+    translation carries the untranslated side's count. A mix also carries
+    the manifest that build_mix computed from its components, with the
+    separator token it counted.
     """
 
     __slots__ = (
@@ -185,6 +187,9 @@ class Corpus:
         )
         for side, counts in self._token_counts.items():
             out._carry(side, counts[index])
+        for (side, token), rows in self._token_rows.items():
+            if rows == 0:  # no subset of these lines holds the token
+                out._carry_rows(side, token, 0)
         return out
 
     def column(self, side: Side) -> tuple[str, ...]:

@@ -23,7 +23,10 @@ from typing import Callable, Sequence
 from .errors import PipelineError
 
 
-_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+# the signals that end a process by default and that run turns into an
+# exception while it runs (SIGHUP exists on POSIX only)
+ENDING_SIGNALS = tuple(getattr(signal, name) for name in ("SIGTERM", "SIGHUP") if hasattr(signal, name))
+_STOP_SIGNALS = {signal.SIGINT, *ENDING_SIGNALS}  # every signal that may raise in this process
 
 
 class Stopped(BaseException):
@@ -37,9 +40,9 @@ def _stop(signum, frame) -> None:
 def _send_and_exit(func: Callable, arg, write_fd: int, mask) -> None:
     """In a forked child: pickle func(arg), or the exception it raised, into the pipe; exit.
 
-    The child starts with SIGINT and SIGTERM blocked, so neither can unwind
-    it into the parent's code before this sets its SIGTERM handler and
-    restores the parent's signal mask.
+    The child starts with SIGINT, SIGTERM and SIGHUP blocked, so none can
+    unwind it into the parent's code before this sets its SIGTERM handler
+    and restores the parent's signal mask.
     """
     code = 1
     try:

@@ -25,9 +25,12 @@ text, and 1 where the platform cannot fork. A score does not depend on W.
 
 One kernel, ``_ngram_stats``, counts every n-gram order. It is
 item-major and scores K decoding runs of one test set together: each
-reference is split and prepared once, the K hypotheses for that item are
-counted against it, and the preparation is dropped before the next item,
-so no more than one prepared reference is held at a time.
+reference is split once, and each distinct hypothesis line of an item is
+split and counted once, its result going to every run that returned that
+line. A pair is counted in one of three exact tiers: from its length when
+the hypothesis equals the reference; in numpy, over a block of items at a
+time, when the reference repeats no token; and with per-item n-gram
+counts, the counted tier, when it does.
 ``bucketed_bleu_runs`` scores K runs with one source split, one bucket
 assignment and one set of shard workers; ``bucketed_bleu`` and
 ``corpus_bleu`` are its K = 1 cases.
@@ -39,8 +42,9 @@ import csv
 import io
 import math
 import os
+from array import array
 from itertools import repeat
-from operator import add, and_, eq, sub
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -61,9 +65,17 @@ except ImportError:  # pragma: no cover - pure-python fallback
 
 
 # Each shard gets at least this many characters of hypothesis text. On a
-# 2-vCPU VM, two shards broke even with one at about 240K characters each:
-# below that, the fork and the pipe cost more than the second CPU saves.
-SHARD_MIN_CHARS = 300_000
+# 2-vCPU VM, on bleu-long-tail-shaped text (1-200 words, a 30% tail past
+# 70), two shards broke even with one at about 100K-140K characters each:
+# below that, the fork and the pipe cost more than the second CPU saves. At
+# 190K characters each, two shards took 0.80-0.90 of one shard's wall time.
+SHARD_MIN_CHARS = 150_000
+
+# Tier-2 reference slots counted together. It bounds the flat buffers and
+# their numpy temporaries to about 64 KiB per run each. With one block for
+# all items, scoring the bleu-long-tail inputs raised a `bitextaug bleu`
+# process's peak RSS by 5.4 MiB (9%); with 2**13 slots, by about 0.3 MiB.
+_BLOCK_SLOTS = 1 << 13
 
 
 class BucketScore(NamedTuple):
@@ -104,84 +116,123 @@ def _ngram_stats(hyp_runs: Sequence[Sequence[str]], refs: Sequence[str], n_order
     hyp_runs holds K hypothesis lists, each aligned with refs. Returns one
     (matched, total, hyp_len, ref_len) per run.
 
-    Item-major: each reference is split once and, when it repeats no
-    token, gets a dict from token to position; the hypotheses of all K
-    runs for that item are counted against it, and the dict is dropped.
-    A hypothesis equal to its reference is counted from its length, as
-    are the per-order totals, from a histogram of hypothesis lengths.
-    Every other pair goes through one of two exact tiers.
+    Item-major: each reference is split once, and each distinct hypothesis
+    line of an item is split and matched once, its result given to every
+    run that returned that line. The per-order totals come from a
+    histogram of hypothesis lengths. A pair takes one of three exact tiers.
 
-    Position tier, when neither side repeats a token: each reference
-    token has one position, so each hypothesis token is mapped to
-    q[i] = pos[h_i] - i. The n-gram starting at hypothesis index i
-    occurs in the reference iff q[i] == ... == q[i+n-1] and all n tokens
-    are present (it then starts at reference index q[i] + i). Matches
-    are counted with C-level map(eq)/map(and_) over shifted lists, one
-    more map(and_) per order. An absent token takes position -len(ht),
-    so its q is -len(ht) - i: distinct for every i, hence no two absent
-    tokens compare equal, and below the smallest present q,
-    0 - (len(ht) - 1), hence no absent token equals a present one. Each
-    n-gram occurs at most once on each side, so membership already is
-    the clipped count.
-
-    Counted tier, for every other pair: the reference's n-gram counts of
-    all orders go into one dict (key spaces are disjoint: str vs
-    n-tuples), built once per item, and each hypothesis n-gram takes one
-    from a copy of it while any are left.
+    1. Equal pair: a hypothesis whose tokens equal its reference's matches
+       every n-gram, so it is counted from its length.
+    2. Reference that repeats no token: each reference token gets a slot,
+       numbered across the references of a block of items with one spare
+       slot after each reference. Each hypothesis token's slot, or -1 when
+       the reference lacks it, goes into a flat per-run buffer, and the
+       block is counted at once in numpy (``_slot_matches``): the n-gram
+       at buffer index i matches iff the n slots from i are present and
+       consecutive, so it occurs in the reference starting at slot p[i];
+       the spare slot keeps such a run inside one sentence. Every n-gram
+       of such a reference occurs once, so the clipped count is the number
+       of distinct reference start slots hit, whatever the hypothesis
+       repeats.
+    3. Reference that repeats a token: its n-gram counts of all orders go
+       into one dict (key spaces are disjoint: str vs n-tuples), built
+       once per item, and each hypothesis n-gram takes one from a copy of
+       it while any are left.
     """
-    runs = [([0] * n_order, [], []) for _ in hyp_runs]  # matched, lengths, lengths of equal pairs
+    n_runs = len(hyp_runs)
+    lengths: list[list[int]] = [[] for _ in range(n_runs)]
+    equal: list[list[int]] = [[] for _ in range(n_runs)]  # lengths of tier-1 hypotheses
+    matched = [[0] * n_order for _ in range(n_runs)]
+    slots = [array("q") for _ in range(n_runs)]  # tier 2's flat buffers
+    free = 0  # the next unused reference slot of this block
+
+    def count_block() -> None:
+        for k, buffer in enumerate(slots):
+            if buffer:
+                matched[k] = list(map(add, matched[k], _slot_matches(buffer, free, n_order)))
+                del buffer[:]
+
     ref_len = 0
     for ref, hyps in zip(refs, zip(*hyp_runs)):
+        if free >= _BLOCK_SLOTS:
+            count_block()
+            free = 0
         rt = tokenize(ref)
         lr = len(rt)
         ref_len += lr
-        pos = dict(zip(rt, range(lr)))
-        if len(pos) != lr:
+        pos = dict(zip(rt, range(free, free + lr)))
+        free += lr + 1
+        if len(pos) < lr:
             pos = None
         rcounts = None
-        for hyp, (matched, lengths, equal) in zip(hyps, runs):
-            ht = tokenize(hyp)
-            lh = len(ht)
-            lengths.append(lh)
-            if ht == rt:
-                equal.append(lh)
-                continue
-            if pos is not None and len(set(ht)) == lh:
-                p = list(map(pos.get, ht, repeat(-lh, lh)))
-                m = lh - p.count(-lh)
-                if m == 0:
-                    continue
-                matched[0] += m
-                q = list(map(sub, p, range(lh)))
-                e = list(map(eq, q, q[1:]))  # e[i]: the bigram at i matches
-                for n in range(1, n_order):
-                    if n > 1:
-                        e = list(map(and_, e, e[1:]))  # e[i]: the (n+1)-gram at i matches
-                    m = e.count(True)
-                    if m == 0:
-                        break  # an absent n-gram implies absent higher orders
-                    matched[n] += m
-                continue
-            if rcounts is None:
-                rcounts = {}
-                for n in range(1, n_order + 1):
-                    _count_elements(rcounts, rt if n == 1 else zip(*(rt[i:] for i in range(n))))
-            left = rcounts.copy()
-            get = left.get
-            for n in range(1, n_order + 1):
-                m = 0
-                for g in ht if n == 1 else zip(*(ht[i:] for i in range(n))):
-                    k = get(g)
-                    if k:
-                        m += 1
-                        left[g] = k - 1
-                if m == 0:
-                    break
-                matched[n - 1] += m
+        done = []  # (length, tier, result) of each run's hypothesis for this item
+        for k, hyp in enumerate(hyps):
+            first = hyps.index(hyp)
+            if first < k:
+                lh, tier, result = done[first]
+            else:
+                ht = tokenize(hyp)
+                lh = len(ht)
+                if ht == rt:
+                    tier, result = 1, None
+                elif pos is not None:
+                    tier, result = 2, len(slots[k])
+                    slots[k].extend(map(pos.get, ht, repeat(-1)))
+                else:
+                    if rcounts is None:
+                        rcounts = {}
+                        for n in range(1, n_order + 1):
+                            _count_elements(rcounts, rt if n == 1 else zip(*(rt[i:] for i in range(n))))
+                    left = rcounts.copy()
+                    get = left.get
+                    tier, result = 3, [0] * n_order
+                    for n in range(1, n_order + 1):
+                        m = 0
+                        for g in ht if n == 1 else zip(*(ht[i:] for i in range(n))):
+                            c = get(g)
+                            if c:
+                                m += 1
+                                left[g] = c - 1
+                        if m == 0:
+                            break
+                        result[n - 1] = m
+            done.append((lh, tier, result))
+            lengths[k].append(lh)
+            if tier == 1:
+                equal[k].append(lh)
+            elif tier == 2:
+                if first < k:
+                    slots[k].extend(slots[first][result : result + lh])
+            else:
+                matched[k] = list(map(add, matched[k], result))
+    count_block()
     out = []
-    for matched, lengths, equal in runs:
-        matched = list(map(add, matched, _ngrams_of_lengths(equal, n_order)))
-        out.append((matched, _ngrams_of_lengths(lengths, n_order), sum(lengths), ref_len))
+    for k in range(n_runs):
+        run_matched = list(map(add, matched[k], _ngrams_of_lengths(equal[k], n_order)))
+        out.append((run_matched, _ngrams_of_lengths(lengths[k], n_order), sum(lengths[k]), ref_len))
+    return out
+
+
+def _slot_matches(buffer: array, n_slots: int, n_order: int) -> list[int]:
+    """Tier 2's clipped matches per order: the distinct reference slots at which a matching n-gram starts.
+
+    buffer holds each hypothesis token's reference slot, -1 when absent;
+    slots lie in 0..n_slots-1.
+    """
+    p = np.frombuffer(buffer, np.int64)
+    out = [0] * n_order
+    hit = np.zeros(n_slots, bool)
+    starts = p >= 0  # starts[i]: the n-gram at i matches, for the current n
+    follows = p[1:] == p[:-1] + 1  # follows[i]: token i + 1 takes the slot after token i's
+    for n in range(n_order):
+        if n:
+            starts = starts[:-1] & follows[n - 1 :]
+        found = p[: len(starts)][starts]
+        if not len(found):
+            break  # an absent n-gram implies absent higher orders
+        hit[found] = True
+        out[n] = int(np.count_nonzero(hit))
+        hit[found] = False
     return out
 
 

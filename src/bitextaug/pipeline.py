@@ -15,6 +15,8 @@ import dataclasses
 import os
 import re
 import shutil
+import signal
+import threading
 from pathlib import Path
 from typing import Optional, Union
 
@@ -32,7 +34,7 @@ from .corpus import (
     write_sidecar,
 )
 from .errors import PipelineError, ValidationError
-from .forked import map_forked
+from .forked import ENDING_SIGNALS, map_forked
 from .metrics import BleuReport, average_runs, bucketed_bleu_runs, report_to_csv
 from .mix import RECIPES, MixRecipe, build_mix, write_mix
 from .report import render_bucket_table, render_diff_chart
@@ -236,10 +238,17 @@ def cmd_validate(config: PipelineConfig, check_test: bool = True) -> list[str]:
 
 
 def _input_corpus(config: PipelineConfig, name: str, columns: _Columns) -> Corpus:
-    """A file pair that _check_inputs read cleanly, as a corpus of original pairs."""
+    """A file pair that _check_inputs read cleanly, as a corpus of original pairs.
+
+    _check_inputs rejected every line that holds sep_token, so the corpus
+    records that no line of either side holds it.
+    """
     sources, targets = columns
     origins = (Origin.ORIGINAL,) * len(sources)
-    return Corpus(sources, targets, origins, name, config.source_lang, config.target_lang)
+    corpus = Corpus(sources, targets, origins, name, config.source_lang, config.target_lang)
+    for side in Side:
+        corpus._carry_rows(side, config.sep_token, 0)
+    return corpus
 
 
 class _Lock:
@@ -343,6 +352,14 @@ def _decode_and_score(config: PipelineConfig, test: Corpus, runs_dir: Path) -> l
         raise _InStage(stage, exc) from None
 
 
+class _Ended(BaseException):
+    """An ending signal (SIGTERM, SIGHUP) that arrived while run was running."""
+
+
+def _raise_ended(signum, frame) -> None:
+    raise _Ended(signum)
+
+
 def cmd_run(config: PipelineConfig) -> dict[str, Path]:
     """Run the full pipeline; returns a map of output names to paths.
 
@@ -353,7 +370,33 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
     the error is re-raised; when both sides fail, the train side's error
     and stage win. Prior successful outputs are never touched by
     quarantining.
+
+    SIGTERM and SIGHUP, where they would end the process at once, are
+    turned into an exception while the run runs, so a job scheduler's
+    timeout or a closed terminal stops it the way an interrupt does: the
+    translators and the forked test side are stopped and reaped, the
+    staging directory is quarantined under the running stage, and the lock
+    is released. The process then ends by that signal.
     """
+    ending = []  # signal handlers can only be set in the main thread
+    if threading.current_thread() is threading.main_thread():
+        ending = [s for s in ENDING_SIGNALS if signal.getsignal(s) == signal.SIG_DFL]
+    ended = None
+    try:
+        for signum in ending:
+            signal.signal(signum, _raise_ended)
+        return _run(config)
+    except _Ended as exc:
+        ended = exc
+        raise
+    finally:
+        for signum in ending:
+            signal.signal(signum, signal.SIG_DFL)
+        if ended is not None:
+            os.kill(os.getpid(), ended.args[0])
+
+
+def _run(config: PipelineConfig) -> dict[str, Path]:
     if not config.out_dir:
         raise ValidationError("config: out_dir is required")
     if not (config.test_source and config.test_target):

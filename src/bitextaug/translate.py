@@ -204,10 +204,13 @@ def self_train(
 
 
 def _keep_counts(parallel: Corpus, pseudo: Corpus, kept: Side) -> None:
-    """Carry the cached token counts of the side that was not translated."""
+    """Carry the cached token counts and token_rows of the side that was not translated."""
     counts = parallel._cached_counts(kept)
     if counts is not None:
         pseudo._carry(kept, counts)
+    for (side, token), rows in parallel._token_rows.items():
+        if side is kept:
+            pseudo._carry_rows(side, token, rows)
 
 
 def _require_original(parallel: Corpus, op: str) -> None:

@@ -13,7 +13,7 @@ import pytest
 
 from bitextaug import pipeline
 from bitextaug.cli import main
-from bitextaug.corpus import Corpus, load_parallel, read_sidecar, scan_lines
+from bitextaug.corpus import Corpus, load_parallel, read_sidecar, rows_with_token, scan_lines
 from bitextaug.metrics import report_from_csv
 from bitextaug.pipeline import PipelineConfig, cmd_run
 
@@ -501,6 +501,27 @@ class TestRun:
         assert main(self.run_args(tmp_path, train_files, test_files, "once")) == 0
         assert [scanned[path] for path in (*train_files, test_files[1])] == [1, 1, 1]
 
+    def test_only_the_back_translated_sources_are_scanned_for_the_separator(
+        self, tmp_path, train_files, test_files, monkeypatch
+    ):
+        # the input check has rejected every training line that holds the
+        # separator, so only the back-translator's output can hold one
+        scanned = []
+
+        def counting(lines, token):
+            scanned.append(lines)
+            return rows_with_token(lines, token)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("bitextaug") and getattr(module, "rows_with_token", None) is rows_with_token:
+                monkeypatch.setattr(module, "rows_with_token", counting)
+        args = self.run_args(tmp_path, train_files, test_files, "scans")
+        args[args.index("--backward-cmd") + 1] = mock_cmd("reverse")
+        assert main(args) == 0
+        targets = set(load_parallel(*train_files).targets)
+        assert [len(lines) for lines in scanned] == [50]
+        assert all(" ".join(reversed(line.split())) in targets for line in scanned[0])
+
     def test_short_decode_quarantines_under_score_naming_its_seed(
         self, tmp_path, train_files, test_files, capsys, monkeypatch
     ):
@@ -751,6 +772,44 @@ class TestRunSides:
         assert "translator 'backward' exited 5" in err
         assert "exited 4" not in err
         assert [q.name for q in (tmp_path / "both" / "quarantine").iterdir()] == ["0001-mix"]
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP])
+    def test_ending_signal_stops_the_run_cleanly_and_then_ends_it(
+        self, tmp_path, train_files, test_files, signum
+    ):
+        pid_file = tmp_path / "decoder.pid"
+        out = tmp_path / "signalled"
+        args = self.run_args(
+            tmp_path, train_files, test_files, "signalled", self.sleeping_decoder(pid_file),
+            mock_cmd("identity"),
+        )
+        proc = subprocess.Popen([sys.executable, "-m", "bitextaug.cli", *args])
+        try:
+            manifest = out / ".work" / "mix" / "train.manifest"
+            deadline = time.monotonic() + 30
+            while not (pid_file.exists() and manifest.exists()) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            time.sleep(0.5)  # the train side has finished; only the decodes are left
+            proc.send_signal(signum)
+            assert proc.wait(timeout=30) == -signum  # ended by the signal, after cleaning up
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        self.assert_gone(pid_file)
+        assert [p.name for p in out.iterdir()] == ["quarantine"]  # no .work, no .lock
+        assert [q.name for q in (out / "quarantine").iterdir()] == ["0001-decode"]
+        # the forked test side has the same command line as the run, which named out
+        proc_dir = Path("/proc")
+        if proc_dir.is_dir():
+            left = []
+            for cmdline in proc_dir.glob("[0-9]*/cmdline"):
+                try:
+                    if str(out).encode() in cmdline.read_bytes():
+                        left.append(cmdline.parent.name)
+                except OSError:  # the process ended meanwhile
+                    pass
+            assert not left, f"processes {left} of the run were left running"
 
     def test_without_fork_the_sides_run_in_turn_and_write_the_same_bytes(self, tmp_path, monkeypatch):
         monkeypatch.delattr(os, "fork")

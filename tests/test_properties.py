@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bitextaug import metrics
 from bitextaug.augment import AugmentConfig, concat_augment
 from bitextaug.buckets import STANDARD_BUCKETS, BucketSpec
 from bitextaug.corpus import (
@@ -35,6 +36,7 @@ from bitextaug.translate import Direction, TranslatorSpec, back_translate, mock_
 
 from conftest import forced_shards
 from oracle import oracle_bleu
+from test_metrics import oracle_counts
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -187,6 +189,16 @@ def split_counts(lines):
     return [len(line.split()) for line in lines]
 
 
+def split_rows(lines, token):
+    return sum(token in line.split() for line in lines)
+
+
+def assert_rows_exact(corpus, token):
+    """token_rows, carried or counted, equals a split scan on both sides."""
+    for side in Side:
+        assert corpus.token_rows(side, token) == split_rows(corpus.column(side), token)
+
+
 def assert_counts_carried(corpus, sides):
     """Each side in sides has cached counts, read-only int32, equal to a split of every line."""
     for side in sides:
@@ -237,10 +249,15 @@ def test_counts_follow_load_sample_and_take(pairs, data):
     for side in Side:
         assert corpus.token_counts(side).tolist() == split_counts(corpus.column(side))
     assert_counts_carried(corpus, Side)
+    assert_rows_exact(corpus, "<sep>")
     n = data.draw(st.integers(0, len(corpus)))
-    assert_counts_carried(sample(corpus, n, data.draw(st.integers(0, 2**32 - 1))), Side)
+    part = sample(corpus, n, data.draw(st.integers(0, 2**32 - 1)))
+    assert_counts_carried(part, Side)
+    assert_rows_exact(part, "<sep>")
     rows = data.draw(st.lists(st.integers(0, len(corpus) - 1), max_size=30))
-    assert_counts_carried(corpus.take(rows, "rows", {}), Side)
+    part = corpus.take(rows, "rows", {})
+    assert_counts_carried(part, Side)
+    assert_rows_exact(part, "<sep>")
 
 
 @SETTINGS
@@ -258,14 +275,19 @@ def test_concat_carries_the_counts_its_pool_cached(pool, cached, count, seed):
 @FEW
 @given(spaced_pools(max_size=12), st.sampled_from(["identity", "reverse"]))
 def test_translation_keeps_the_counts_of_the_untranslated_side(pool, mode):
-    pool.token_counts(Side.TARGET)
-    pool.token_counts(Side.SOURCE)
+    for side in Side:
+        pool.token_counts(side)
+        pool.token_rows(side, "<sep>")
     pseudo_bt = back_translate(pool, mock_spec(mode, Direction.BACKWARD))
     pseudo_st = self_train(pool, mock_spec(mode, Direction.FORWARD))
     assert_counts_carried(pseudo_bt, [Side.TARGET])
     assert_counts_carried(pseudo_st, [Side.SOURCE])
     assert pseudo_bt._cached_counts(Side.SOURCE) is None
     assert pseudo_st._cached_counts(Side.TARGET) is None
+    assert set(pseudo_bt._token_rows) == {(Side.TARGET, "<sep>")}
+    assert set(pseudo_st._token_rows) == {(Side.SOURCE, "<sep>")}
+    assert_rows_exact(pseudo_bt, "<sep>")
+    assert_rows_exact(pseudo_st, "<sep>")
 
 
 @FEW
@@ -532,3 +554,54 @@ def test_scoring_runs_together_equals_scoring_each_alone(data, spec, n_order, sm
             alone = [bucketed_bleu(hyps, refs, srcs, spec, n_order, smooth) for hyps in runs]
         assert together == alone
         assert [report_to_csv(r) for r in together] == [report_to_csv(r) for r in alone]
+
+
+# a vocabulary large enough that references drawn from it repeat no token,
+# so the kernel's repeat-free tier counts them, also against hypotheses that
+# repeat tokens (the six-word sets above seldom reach that tier)
+rare_words = st.integers(0, 10_000).map(lambda i: f"w{i}")
+
+
+def repeating_hypotheses(ref):
+    """Token lists likely to repeat a token: draws from the reference and two strays, or a stretch of it repeated."""
+    pool = ref + ["x", "y"]
+    stretches = st.tuples(st.integers(0, len(ref)), st.integers(0, len(ref)), st.integers(1, 3))
+    return st.one_of(
+        st.lists(st.sampled_from(pool), max_size=16),
+        stretches.map(lambda t: ref[t[0] : t[1]] * t[2]),
+    )
+
+
+@st.composite
+def runs_sharing_lines(draw, max_size=20):
+    """(runs, references): references that repeat no token, and K = 1-4 runs that share some lines."""
+    n = draw(st.integers(1, max_size))
+    refs = draw(st.lists(st.lists(rare_words, unique=True, max_size=12), min_size=n, max_size=n))
+    runs: list[list[list[str]]] = []
+    for _ in range(draw(st.integers(1, 4))):
+        run = []
+        for i, ref in enumerate(refs):
+            kind = draw(st.sampled_from(["equal", "empty", "shared", "drawn"]))
+            if kind == "equal":
+                run.append(ref)
+            elif kind == "empty":
+                run.append([])
+            elif kind == "shared" and runs:
+                run.append(runs[draw(st.integers(0, len(runs) - 1))][i])
+            else:
+                run.append(draw(repeating_hypotheses(ref)))
+        runs.append(run)
+    return runs, refs
+
+
+@SETTINGS
+@given(runs_sharing_lines(), st.integers(1, 40))
+def test_kernel_counts_repeat_free_references_like_the_oracle(data, block_slots):
+    runs, refs = data
+    runs = [[" ".join(tokens) for tokens in run] for run in runs]
+    refs = [" ".join(tokens) for tokens in refs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_BLOCK_SLOTS", block_slots)  # items counted over several blocks
+        for n_order in range(1, 7):
+            got = metrics._ngram_stats(runs, refs, n_order)
+            assert got == [oracle_counts(hyps, refs, n_order) for hyps in runs], f"order {n_order}"
