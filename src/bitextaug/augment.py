@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .corpus import PRNG_ID, Corpus, Origin, SentencePair, Side, gatherer, rows_with_token, tokenize
+from .corpus import PRNG_ID, Corpus, Origin, SentencePair, Side, _Joined, _Lines, rows_with_token, tokenize
 from .errors import AugmentationError, ValidationError
 
 DEFAULT_SEP_TOKEN = "<sep>"
@@ -88,7 +88,9 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
     non-concatenated origin and none containing the separator token. The
     output length (measured on config.length_side, separator excluded
     unless count_sep_in_length) is at least config.min_concat_len for
-    every surviving pair. Deterministic for fixed (pool, config).
+    every surviving pair. Deterministic for fixed (pool, config). The
+    output keeps the kept (first, second) pool rows and joins their lines
+    only when they are read or written.
 
     Raises AugmentationError when the threshold is unreachable or the
     draw budget (max_attempts_factor * target_count) runs out.
@@ -150,11 +152,6 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
         second[done : done + len(kept)] = j[kept]
         done += len(kept)
 
-    join = f" {sep} ".join
-    firsts, seconds = gatherer(first.tolist()), gatherer(second.tolist())
-    # one side at a time, so only one side's gathered halves are alive at once
-    sources = tuple(map(join, zip(firsts(src), seconds(src))))
-    targets = tuple(map(join, zip(firsts(tgt), seconds(tgt))))
     meta = {
         "augment": "concat",
         "pool": pool.name,
@@ -169,9 +166,10 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
         "rejected_short": str(rejected_short),
         "rejected_self": str(rejected_self),
     }
+    # the lines are joined when they are read, one chunk at a time
     out = Corpus(
-        sources,
-        targets,
+        _Lines([_Joined(src, first, second, sep)]),
+        _Lines([_Joined(tgt, first, second, sep)]),
         (Origin.CONCAT,) * config.target_count,
         f"{pool.name}+concat",
         pool.source_lang,

@@ -2,7 +2,11 @@
 
 Corpora are line-aligned plain-text file pairs: UTF-8, LF line endings,
 one sentence per line, equal line counts. In memory a corpus is three
-aligned columns (source lines, target lines, origin tags). A token, or
+aligned columns (source lines, target lines, origin tags). A loaded or
+translated corpus holds its lines as tuples of ``str``; a derived one
+(concatenation, a mix, a subset of either) holds views that build its
+lines from their parent columns when they are read, one write chunk at a
+time, so joined lines are never all held at once. A token, or
 "word", is a maximal run of characters for which ``str.isspace()`` is
 false, so tab, U+3000, NBSP, U+2028 and U+0085 separate tokens and only
 ``\n`` ends a line; ``tokenize`` is that rule, for every length, bucket,
@@ -18,6 +22,8 @@ from __future__ import annotations
 import enum
 import hashlib
 import operator
+from bisect import bisect_right
+from collections.abc import Sequence as SequenceABC
 from itertools import compress, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -63,6 +69,119 @@ def gatherer(rows: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda column: tuple(column[i] for i in rows)
 
 
+# lines built or encoded at a time, so no whole column is ever held as one
+# str or bytes, and a derived column's lines are never all built at once
+_WRITE_CHUNK_LINES = 4096
+
+
+def _lines_at(lines: Sequence[str], rows: np.ndarray) -> tuple[str, ...]:
+    """The lines at ``rows``, in that order, from a column or a part of a _Lines view."""
+    if isinstance(lines, (_Lines, _Joined)):
+        return lines._gather(rows)
+    return gatherer(rows.tolist())(lines)
+
+
+class _Joined:
+    """Concatenated lines not yet built: line k is ``column[first[k]] <sep> column[second[k]]``."""
+
+    __slots__ = ("column", "first", "second", "join")
+
+    def __init__(self, column: Sequence[str], first: np.ndarray, second: np.ndarray, sep: str):
+        first.flags.writeable = second.flags.writeable = False
+        self.column, self.first, self.second = column, first, second
+        self.join = f" {sep} ".join
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def __getitem__(self, k: int) -> str:
+        return self.join((self.column[self.first[k]], self.column[self.second[k]]))
+
+    def _gather(self, rows: np.ndarray) -> tuple[str, ...]:
+        halves = (_lines_at(self.column, self.first[rows]), _lines_at(self.column, self.second[rows]))
+        return tuple(map(self.join, zip(*halves)))
+
+
+class _Lines(SequenceABC):
+    """A read-only column of a derived corpus, whose lines are built when read.
+
+    Its lines are those of ``parts`` (plain columns or _Joined) one after
+    another, taken through the row map ``order`` when there is one. Only
+    the lines read are built: a slice or an index builds those, and
+    iterating builds one _WRITE_CHUNK_LINES chunk at a time. It equals a
+    tuple or another view with the same lines.
+    """
+
+    __slots__ = ("_parts", "_starts", "_order")
+
+    def __init__(self, parts: Iterable[Sequence[str]], order: Optional[np.ndarray] = None):
+        flat: list[Sequence[str]] = []
+        for part in parts:
+            if isinstance(part, _Lines) and part._order is None:
+                flat.extend(part._parts)
+            elif len(part):
+                flat.append(part)
+        self._parts = tuple(flat)
+        self._starts = [0]  # the position of each part's first line, then the line count
+        for part in flat:
+            self._starts.append(self._starts[-1] + len(part))
+        if order is not None:
+            order.flags.writeable = False
+        self._order = order
+
+    def __len__(self) -> int:
+        return self._starts[-1] if self._order is None else len(self._order)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._gather(np.arange(*i.indices(len(self))))
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("line index out of range")
+        if self._order is not None:
+            i = int(self._order[i])
+        p = bisect_right(self._starts, i) - 1
+        return self._parts[p][i - self._starts[p]]
+
+    def __iter__(self) -> Iterator[str]:
+        for start in range(0, len(self), _WRITE_CHUNK_LINES):
+            yield from self[start : start + _WRITE_CHUNK_LINES]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _Lines)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} lines built when read>"
+
+    def take(self, rows: np.ndarray) -> "_Lines":
+        """The view of the lines at ``rows``, in that order."""
+        order = np.arange(len(self)) if self._order is None else self._order
+        return _Lines(self._parts, order[rows])
+
+    def _gather(self, rows: np.ndarray) -> tuple[str, ...]:
+        if self._order is not None:
+            rows = self._order[rows]
+        if len(self._parts) < 2:
+            return _lines_at(self._parts[0], rows) if len(rows) else ()
+        # gather each part's rows in one pass, then put them back in the asked order
+        part_of = np.searchsorted(self._starts, rows, side="right") - 1
+        by_part = np.argsort(part_of, kind="stable")
+        bounds = np.searchsorted(part_of[by_part], range(len(self._parts) + 1)).tolist()
+        lines: list[str] = []
+        for p, part in enumerate(self._parts):
+            if bounds[p] < bounds[p + 1]:
+                lines.extend(_lines_at(part, rows[by_part[bounds[p] : bounds[p + 1]]] - self._starts[p]))
+        if np.all(by_part[1:] > by_part[:-1]):
+            return tuple(lines)
+        inverse = np.empty_like(by_part)
+        inverse[by_part] = np.arange(len(by_part))
+        return _lines_at(lines, inverse)
+
+
 def lang_code_problems(source_lang: str, target_lang: str) -> list[str]:
     """Why two language codes cannot name a corpus's two files, empty when they can.
 
@@ -104,10 +223,14 @@ class SentencePair(NamedTuple):
 
 
 class Corpus:
-    """Immutable ordered corpus held as three equal-length tuple columns.
+    """Immutable ordered corpus held as three equal-length columns.
 
     ``sources[i]``, ``targets[i]`` and ``origins[i]`` make up pair i;
     iterating or indexing yields SentencePair rows built on the fly.
+    ``origins`` is a tuple. ``sources`` and ``targets`` are tuples of
+    ``str``, or, in a derived corpus, read-only views (_Lines) that build
+    the lines from parent columns when read; ``take`` of a view composes
+    its row map instead of building lines.
     Token counts are split out once per side and cached; the operations
     that derive one corpus from another carry them over without splitting.
     How many lines of a side hold a given token (the separator) is also
@@ -133,8 +256,8 @@ class Corpus:
         target_lang: str = "tgt",
         meta: Optional[dict[str, str]] = None,
     ):
-        self.sources: tuple[str, ...] = tuple(sources)
-        self.targets: tuple[str, ...] = tuple(targets)
+        self.sources: Sequence[str] = sources if isinstance(sources, _Lines) else tuple(sources)
+        self.targets: Sequence[str] = targets if isinstance(targets, _Lines) else tuple(targets)
         self.origins: tuple[Origin, ...] = tuple(origins)
         if not len(self.sources) == len(self.targets) == len(self.origins):
             raise ValidationError(
@@ -176,9 +299,13 @@ class Corpus:
         """The pairs at ``rows``, in that order, as a new corpus in the same languages."""
         index = np.asarray(rows, dtype=np.intp)
         pick = gatherer(index.tolist())
+
+        def lines(column: Sequence[str]) -> Sequence[str]:
+            return column.take(index) if isinstance(column, _Lines) else pick(column)
+
         out = Corpus(
-            pick(self.sources),
-            pick(self.targets),
+            lines(self.sources),
+            lines(self.targets),
             pick(self.origins),
             name,
             self.source_lang,
@@ -192,7 +319,7 @@ class Corpus:
                 out._carry_rows(side, token, 0)
         return out
 
-    def column(self, side: Side) -> tuple[str, ...]:
+    def column(self, side: Side) -> Sequence[str]:
         return self.sources if side is Side.SOURCE else self.targets
 
     def token_counts(self, side: Side) -> np.ndarray:
@@ -325,10 +452,6 @@ def _sides_starting_with_bom(corpus: Corpus) -> list[str]:
     ]
 
 
-# lines encoded per write, so no whole column is ever held as one str or bytes
-_WRITE_CHUNK_LINES = 4096
-
-
 def save_parallel(corpus: Corpus, source_path: PathLike, target_path: PathLike) -> tuple[str, str]:
     """Write the corpus back to a line-aligned file pair (UTF-8, LF).
 
@@ -343,16 +466,23 @@ def save_parallel(corpus: Corpus, source_path: PathLike, target_path: PathLike) 
             f"cannot save {corpus.name!r}: the first {' and '.join(sides)} line starts with "
             "U+FEFF, which would read back as a byte-order mark"
         )
-    digests = []
-    for path, lines in ((source_path, corpus.sources), (target_path, corpus.targets)):
-        digest = hashlib.sha256()
-        with open(path, "wb") as f:
-            for start in range(0, len(lines), _WRITE_CHUNK_LINES):
-                data = ("\n".join(lines[start : start + _WRITE_CHUNK_LINES]) + "\n").encode()
-                digest.update(data)
-                f.write(data)
-        digests.append(digest.hexdigest())
-    return digests[0], digests[1]
+    return write_lines(source_path, corpus.sources), write_lines(target_path, corpus.targets)
+
+
+def write_lines(path: PathLike, lines: Sequence[str]) -> str:
+    """Write one line per item (UTF-8, LF), a _WRITE_CHUNK_LINES slice at a time.
+
+    Returns the sha256 hex digest of the written bytes. Only one slice is
+    built and encoded at a time, so a _Lines column is written without
+    building all its lines.
+    """
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for start in range(0, len(lines), _WRITE_CHUNK_LINES):
+            data = ("\n".join(lines[start : start + _WRITE_CHUNK_LINES]) + "\n").encode()
+            digest.update(data)
+            f.write(data)
+    return digest.hexdigest()
 
 
 def read_lines(path: PathLike) -> list[str]:

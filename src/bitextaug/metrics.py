@@ -42,7 +42,6 @@ import csv
 import io
 import math
 import os
-from array import array
 from itertools import repeat
 from operator import add
 from typing import NamedTuple, Optional, Sequence
@@ -139,6 +138,10 @@ def _ngram_stats(hyp_runs: Sequence[Sequence[str]], refs: Sequence[str], n_order
        once per item, and each hypothesis n-gram takes one from a copy of
        it while any are left.
     """
+    # imported here, not at module level: array is a shared library, and
+    # the commands that score nothing (mix, concat, ...) need not map it
+    from array import array
+
     n_runs = len(hyp_runs)
     lengths: list[list[int]] = [[] for _ in range(n_runs)]
     equal: list[list[int]] = [[] for _ in range(n_runs)]  # lengths of tier-1 hypotheses
@@ -213,7 +216,7 @@ def _ngram_stats(hyp_runs: Sequence[Sequence[str]], refs: Sequence[str], n_order
     return out
 
 
-def _slot_matches(buffer: array, n_slots: int, n_order: int) -> list[int]:
+def _slot_matches(buffer: "array.array", n_slots: int, n_order: int) -> list[int]:
     """Tier 2's clipped matches per order: the distinct reference slots at which a matching n-gram starts.
 
     buffer holds each hypothesis token's reference slot, -1 when absent;

@@ -13,11 +13,15 @@ The 4N recipe concatenates within each pool separately; original and
 pseudo sentences are never joined to each other. Sub-seeds derive from
 the recipe seed by fixed offsets (concat-original: +0, concat-pseudo: +1,
 shuffle: +2) so one seed reproduces the whole mix.
+
+A mix holds no line of its own: its source and target columns are views
+over the components' columns, concat lines still unjoined, taken through
+the shuffle permutation. write_mix builds the lines one chunk at a time
+as it writes them.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
@@ -29,6 +33,7 @@ from .corpus import (
     Corpus,
     Origin,
     Side,
+    _Lines,
     gatherer,
     save_parallel,
     write_sidecar,
@@ -81,6 +86,7 @@ def build_mix(
     (its target_count is overridden to N per pool). Deterministic given
     the recipe seed, inputs, and translator behavior. The mix carries its
     manifest, counted over the components before the shuffle, to write_mix.
+    Its lines are views over the components, built when read or written.
     """
     recipe.validate()
     translators = translators or {}
@@ -139,25 +145,22 @@ def build_mix(
     # a permutation changes no count, so the manifest is taken in file order
     sep_token = augment.sep_token if augment is not None else DEFAULT_SEP_TOKEN
     manifest = _manifest(components, sep_token)
-    sources, targets = (tuple(chain.from_iterable(c.column(side) for c in components)) for side in Side)
-    origins = chain.from_iterable(c.origins for c in components)
+    codes = np.concatenate([_origin_codes(c) for c in components])
     counts: dict[Side, np.ndarray] = {}
     for side in Side:
         parts = [c._cached_counts(side) for c in components]
         if all(part is not None for part in parts):
             counts[side] = np.concatenate(parts)
+    order = None
     if recipe.shuffle_output:
         order = np.random.default_rng(recipe.derived_shuffle_seed).permutation(manifest.total)
-        pick = gatherer(order.tolist())
-        sources = pick(sources)  # frees the unshuffled column before the next is gathered
-        targets = pick(targets)
-        codes = np.concatenate([_origin_codes(c) for c in components])
-        origins = gatherer(codes[order].tolist())(_ORIGINS)
+        codes = codes[order]
         counts = {side: side_counts[order] for side, side_counts in counts.items()}
+    # the lines are views over the components, built through the shuffle when written
     mixed = Corpus(
-        sources,
-        targets,
-        origins,
+        _Lines([c.sources for c in components], order),
+        _Lines([c.targets for c in components], order),
+        gatherer(codes.tolist())(_ORIGINS),
         f"{original.name}[{recipe.name}]",
         original.source_lang,
         original.target_lang,

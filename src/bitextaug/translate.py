@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .corpus import Corpus, Origin, Side, line_problem, read_lines, scan_lines
+from .corpus import Corpus, Origin, Side, line_problem, read_lines, scan_lines, write_lines
 from .errors import CorpusFormatError, TranslatorError, ValidationError
 
 PathLike = Union[str, Path]
@@ -141,8 +141,7 @@ def _translated_lines(
 ) -> list[str]:
     with tempfile.TemporaryDirectory(dir=workdir, prefix="bitextaug-") as td:
         in_path = Path(td) / f"{label}.in"
-        with open(in_path, "w", encoding="utf-8", newline="\n") as f:
-            f.writelines(line + "\n" for line in lines)
+        write_lines(in_path, lines)
         out = read_lines(translate_file(spec, in_path, Path(td) / f"{label}.out"))
     for i, line in enumerate(out):
         problem = line_problem(line)

@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import tracemalloc
 
 import pytest
 
@@ -130,6 +131,25 @@ class TestMixRules:
         origins = [p.origin for p in mixed]
         assert origins[:n] == [Origin.ORIGINAL] * n
         assert origins[n:] == [Origin.CONCAT] * n
+
+    def test_build_mix_does_not_build_the_concat_lines(self):
+        # the concat lines are built while they are written, so assembling
+        # the mix allocates far less than the joined text it describes
+        n = 20_000
+        original = make_corpus(n, seed=17, min_len=13, max_len=22)
+        tracemalloc.start()
+        try:
+            mixed = build_mix(MixRecipe("vanilla+concat", n, seed=4), original, augment=augment_cfg())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        concat_text = sum(
+            len(line.encode())
+            for p in mixed
+            if p.origin is Origin.CONCAT
+            for line in (p.source, p.target)
+        )
+        assert peak < concat_text / 4
 
 
 class TestWriteMix:

@@ -1,5 +1,5 @@
 """Property tests: corpus file round trip, concat and mix alignment, sampling,
-cached token counts, mix manifests, BLEU and buckets."""
+cached token counts, mix manifests, lines built when read, BLEU and buckets."""
 
 import hashlib
 import math
@@ -8,12 +8,14 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bitextaug import corpus as corpus_module
 from bitextaug import metrics
 from bitextaug.augment import AugmentConfig, concat_augment
 from bitextaug.buckets import STANDARD_BUCKETS, BucketSpec
@@ -21,6 +23,8 @@ from bitextaug.corpus import (
     Corpus,
     Origin,
     Side,
+    _Joined,
+    _Lines,
     gatherer,
     holdout_split,
     load_parallel,
@@ -397,6 +401,86 @@ def test_cached_counts_are_read_only(pool, side):
         counts[0] = 99
     assert pool.token_counts(side) is counts
     assert counts.tolist() == split_counts(pool.column(side))
+
+
+# --- lines built when read ----------------------------------------------------
+
+CHUNK = 4  # the patched chunk size; part sizes fall below, at and above it
+part_sizes = st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+
+
+@st.composite
+def line_parts(draw):
+    """1-4 parts of a _Lines view, plain columns and joined pools, with the eager tuple of their lines."""
+    parts, eager = [], []
+    for k in range(draw(st.integers(1, 4))):
+        n = draw(part_sizes)
+        if draw(st.booleans()):
+            lines = tuple(f"p{k}.{i}" for i in range(n))
+            parts.append(lines)
+            eager.extend(lines)
+        else:
+            pool = tuple(draw(st.lists(pool_lines, min_size=1, max_size=6)))
+            rows = st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n)
+            first, second = draw(rows), draw(rows)
+            parts.append(_Joined(pool, np.array(first, np.intp), np.array(second, np.intp), "<sep>"))
+            # the construction concat used when it joined every line up front
+            eager.extend(map(" <sep> ".join, zip(gatherer(first)(pool), gatherer(second)(pool))))
+    return parts, tuple(eager)
+
+
+@st.composite
+def line_views(draw):
+    """A _Lines view, with or without a permutation, and the tuple of the lines it describes."""
+    parts, eager = draw(line_parts())
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(len(eager))))
+        return _Lines(parts, np.array(order, np.intp)), tuple(eager[i] for i in order)
+    return _Lines(parts), eager
+
+
+@SETTINGS
+@given(line_views(), st.data())
+def test_line_view_reads_like_the_eager_tuple(case, data):
+    view, expected = case
+    with mock.patch.object(corpus_module, "_WRITE_CHUNK_LINES", CHUNK):
+        assert len(view) == len(expected)
+        assert tuple(view) == expected
+        assert [line for line in view] == list(expected)
+        assert view == expected and expected == view and not view != expected
+        assert view == _Lines([view])
+        for i in range(-len(expected), len(expected)):
+            assert view[i] == expected[i]
+        for i in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        for _ in range(3):
+            cut = data.draw(st.slices(len(expected) + 2))
+            assert view[cut] == expected[cut]
+        rows = data.draw(st.lists(st.integers(-len(expected), len(expected) - 1), max_size=9)) if expected else []
+        assert view.take(np.array(rows, np.intp)) == tuple(expected[i] for i in rows)
+        if expected:
+            assert view != expected[:-1] and view != expected[:-1] + ("other",)
+            assert view != list(expected)  # a tuple never equals a list either
+
+
+@SETTINGS
+@given(line_views(), line_views())
+def test_save_parallel_writes_a_view_like_its_tuple(sources, targets):
+    (view, expected), (other_view, other_expected) = sources, targets
+    n = min(len(view), len(other_view))
+    rows = np.arange(n)
+    lazy = Corpus(view.take(rows), other_view.take(rows), [Origin.CONCAT] * n)
+    eager = Corpus(expected[:n], other_expected[:n], [Origin.CONCAT] * n)
+    assert lazy == eager and eager == lazy
+    with tempfile.TemporaryDirectory() as td, mock.patch.object(corpus_module, "_WRITE_CHUNK_LINES", CHUNK):
+        written = []
+        for name, corpus in (("lazy", lazy), ("eager", eager)):
+            paths = Path(td) / f"{name}.src", Path(td) / f"{name}.tgt"
+            digests = save_parallel(corpus, *paths)
+            written.append((digests, tuple(path.read_bytes() for path in paths)))
+    assert written[0] == written[1]
+    assert written[0][0] == tuple(hashlib.sha256(data).hexdigest() for data in written[0][1])
 
 
 # --- BLEU -------------------------------------------------------------------
