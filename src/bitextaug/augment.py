@@ -11,11 +11,12 @@ until the requested number of outputs survives the length filter.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .corpus import PRNG_ID, Corpus, Origin, SentencePair, Side, _Joined, _Lines, rows_with_token, tokenize
+from .corpus import PRNG_ID, Corpus, Origin, SentencePair, Side, _Joined, _Lines, tokenize
 from .errors import AugmentationError, ValidationError
 
 DEFAULT_SEP_TOKEN = "<sep>"
@@ -68,17 +69,16 @@ def concat_pair(a: SentencePair, b: SentencePair, sep: str = DEFAULT_SEP_TOKEN) 
     )
 
 
-def _pool_origin(pool: Corpus) -> Origin:
-    origin = pool.origins[0]
-    if pool.origins.count(origin) != len(pool):
+def _check_pool_origin(pool: Corpus) -> None:
+    codes = pool.origins.codes()
+    if (codes != codes[0]).any():
         names = sorted({o.value for o in pool.origins})
         raise ValidationError(
             f"concat pool must be homogeneous in origin, found {names}; "
             "concatenate original and pseudo pools separately"
         )
-    if origin is Origin.CONCAT:
+    if pool.origins[0] is Origin.CONCAT:
         raise ValidationError("concat pool must not itself be concatenated")
-    return origin
 
 
 def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
@@ -99,12 +99,14 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
     sep = config.sep_token
     if len(pool) < 2:
         raise ValidationError(f"concat pool needs at least 2 pairs, got {len(pool)}")
-    _pool_origin(pool)
+    _check_pool_origin(pool)
     n = len(pool)
-    src, tgt = pool.sources, pool.targets
-    if pool.token_rows(Side.SOURCE, sep) or pool.token_rows(Side.TARGET, sep):
-        rows = rows_with_token(src, sep) or rows_with_token(tgt, sep)
-        raise ValidationError(f"pool pair {rows[0]} contains the reserved separator token {sep!r}")
+    for side in Side:
+        hits = pool.column(side).token_hits(sep)
+        if hits.any():
+            raise ValidationError(
+                f"pool pair {hits.argmax()} contains the reserved separator token {sep!r}"
+            )
 
     lens = pool.token_counts(config.length_side)
     sep_add = 1 if config.count_sep_in_length else 0
@@ -167,23 +169,15 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
         "rejected_self": str(rejected_self),
     }
     # the lines are joined when they are read, one chunk at a time
-    out = Corpus(
-        _Lines([_Joined(src, first, second, sep)]),
-        _Lines([_Joined(tgt, first, second, sep)]),
+    return Corpus(
+        _Lines([_Joined(pool.sources, first, second, sep)]),
+        _Lines([_Joined(pool.targets, first, second, sep)]),
         (Origin.CONCAT,) * config.target_count,
         f"{pool.name}+concat",
         pool.source_lang,
         pool.target_lang,
         meta,
     )
-    for side in Side:
-        counts = pool._cached_counts(side)
-        if counts is not None:
-            # the separator joins two lines as one token of its own
-            out._carry(side, counts[first] + counts[second] + 1)
-        # neither half holds the separator, so each line holds it once
-        out._carry_rows(side, sep, config.target_count)
-    return out
 
 
 def measure_concat_mean(corpus: Corpus, config: Optional[AugmentConfig] = None) -> float:
@@ -199,5 +193,5 @@ def measure_concat_mean(corpus: Corpus, config: Optional[AugmentConfig] = None) 
     total = int(corpus.token_counts(side).sum(dtype=np.int64))
     if not cfg.count_sep_in_length:
         lines = corpus.column(side)
-        total -= sum(tokenize(lines[i]).count(sep) for i in rows_with_token(lines, sep))
+        total -= sum(tokenize(line).count(sep) for line in compress(lines, lines.token_hits(sep)))
     return total / len(corpus)

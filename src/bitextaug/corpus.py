@@ -2,11 +2,13 @@
 
 Corpora are line-aligned plain-text file pairs: UTF-8, LF line endings,
 one sentence per line, equal line counts. In memory a corpus is three
-aligned columns (source lines, target lines, origin tags). A loaded or
-translated corpus holds its lines as tuples of ``str``; a derived one
-(concatenation, a mix, a subset of either) holds views that build its
-lines from their parent columns when they are read, one write chunk at a
-time, so joined lines are never all held at once. A token, or
+aligned columns (source lines, target lines, origin tags) of one private
+type, _Lines. A loaded or translated column holds a tuple; a derived one
+(a concatenation, a mix, a subset of either) builds its lines from its
+parent columns when they are read, one write chunk at a time, so joined
+lines are never all held at once. Each column works out its per-line
+facts (token counts, which lines hold a token, origin codes) once, from
+its parts' facts, without building a joined line. A token, or
 "word", is a maximal run of characters for which ``str.isspace()`` is
 false, so tab, U+3000, NBSP, U+2028 and U+0085 separate tokens and only
 ``\n`` ends a line; ``tokenize`` is that rule, for every length, bucket,
@@ -22,9 +24,8 @@ from __future__ import annotations
 import enum
 import hashlib
 import operator
-from bisect import bisect_right
 from collections.abc import Sequence as SequenceABC
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -74,95 +75,145 @@ def gatherer(rows: Sequence[int]) -> Callable[[Sequence], tuple]:
 _WRITE_CHUNK_LINES = 4096
 
 
-def _lines_at(lines: Sequence[str], rows: np.ndarray) -> tuple[str, ...]:
-    """The lines at ``rows``, in that order, from a column or a part of a _Lines view."""
+def _lines_at(lines: Sequence, rows: np.ndarray) -> tuple:
+    """The items at ``rows``, in that order, from a tuple, a _Joined or a column."""
     if isinstance(lines, (_Lines, _Joined)):
         return lines._gather(rows)
     return gatherer(rows.tolist())(lines)
 
 
+# the keys of a column's per-line facts besides the token masks, which are keyed by their token
+_COUNTS, _CODES = object(), object()
+
+
+def _plain_fact(items: tuple, key) -> np.ndarray:
+    """One per-line fact of a tuple of lines, or of origins, read from the items themselves."""
+    if key is _COUNTS:
+        return token_lengths(items)
+    if key is _CODES:  # each origin's position in Origin
+        origins = tuple(Origin)
+        if items and items.count(items[0]) == len(items):
+            return np.full(len(items), origins.index(items[0]), np.int8)
+        return np.fromiter(map(origins.index, items), np.int8, len(items))
+    hits = np.zeros(len(items), bool)
+    hits[rows_with_token(items, key)] = True
+    return hits
+
+
 class _Joined:
     """Concatenated lines not yet built: line k is ``column[first[k]] <sep> column[second[k]]``."""
 
-    __slots__ = ("column", "first", "second", "join")
+    __slots__ = ("column", "first", "second", "sep")
 
-    def __init__(self, column: Sequence[str], first: np.ndarray, second: np.ndarray, sep: str):
+    def __init__(self, column: "_Lines", first: np.ndarray, second: np.ndarray, sep: str):
         first.flags.writeable = second.flags.writeable = False
-        self.column, self.first, self.second = column, first, second
-        self.join = f" {sep} ".join
+        self.column, self.first, self.second, self.sep = column, first, second, sep
 
     def __len__(self) -> int:
         return len(self.first)
 
-    def __getitem__(self, k: int) -> str:
-        return self.join((self.column[self.first[k]], self.column[self.second[k]]))
-
     def _gather(self, rows: np.ndarray) -> tuple[str, ...]:
         halves = (_lines_at(self.column, self.first[rows]), _lines_at(self.column, self.second[rows]))
-        return tuple(map(self.join, zip(*halves)))
+        return tuple(map(f" {self.sep} ".join, zip(*halves)))
+
+    def _fact(self, key) -> np.ndarray:
+        # a joined line's tokens are its halves' tokens and the separator between them
+        if key == self.sep:
+            return np.ones(len(self), bool)
+        halves = self.column._fact(key)
+        if key is _COUNTS:
+            return halves[self.first] + halves[self.second] + 1
+        return halves[self.first] | halves[self.second]
 
 
 class _Lines(SequenceABC):
-    """A read-only column of a derived corpus, whose lines are built when read.
+    """A read-only column of a corpus (lines or origins) and the per-line facts known of it.
 
-    Its lines are those of ``parts`` (plain columns or _Joined) one after
-    another, taken through the row map ``order`` when there is one. Only
-    the lines read are built: a slice or an index builds those, and
-    iterating builds one _WRITE_CHUNK_LINES chunk at a time. It equals a
-    tuple or another view with the same lines.
+    Its items are those of ``parts`` one after another, taken through the
+    row map ``order`` when there is one. A part is a tuple, a _Joined over
+    a column, or another column; a loaded or translated column has one
+    tuple part. Other columns build their lines only when read: a slice or
+    an index builds those, and iterating builds one _WRITE_CHUNK_LINES
+    chunk at a time. A column equals a tuple or another column with the
+    same items.
+
+    Each fact (token counts, which lines hold a token, origin codes) is
+    worked out once, from the parts' facts, so no joined line is built for
+    it; ``facts`` gives those known from how the column was made.
     """
 
-    __slots__ = ("_parts", "_starts", "_order")
+    __slots__ = ("_parts", "_starts", "_order", "_tuple", "_facts")
 
-    def __init__(self, parts: Iterable[Sequence[str]], order: Optional[np.ndarray] = None):
-        flat: list[Sequence[str]] = []
-        for part in parts:
-            if isinstance(part, _Lines) and part._order is None:
-                flat.extend(part._parts)
-            elif len(part):
-                flat.append(part)
-        self._parts = tuple(flat)
-        self._starts = [0]  # the position of each part's first line, then the line count
-        for part in flat:
+    def __init__(
+        self, parts: Iterable[Sequence], order: Optional[np.ndarray] = None, facts: Optional[dict] = None
+    ):
+        self._parts = tuple(parts)
+        self._starts = [0]  # the position of each part's first item, then the item count
+        for part in self._parts:
             self._starts.append(self._starts[-1] + len(part))
         if order is not None:
             order.flags.writeable = False
         self._order = order
+        plain = order is None and len(self._parts) == 1 and type(self._parts[0]) is tuple
+        self._tuple: Optional[tuple] = self._parts[0] if plain else None
+        self._facts: dict = dict(facts or {})
+        for fact in self._facts.values():
+            fact.flags.writeable = False
 
     def __len__(self) -> int:
         return self._starts[-1] if self._order is None else len(self._order)
 
     def __getitem__(self, i):
+        if self._tuple is not None:
+            return self._tuple[i]
         if isinstance(i, slice):
             return self._gather(np.arange(*i.indices(len(self))))
-        i = operator.index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("line index out of range")
-        if self._order is not None:
-            i = int(self._order[i])
-        p = bisect_right(self._starts, i) - 1
-        return self._parts[p][i - self._starts[p]]
+        return self._gather(np.array([range(len(self))[i]]))[0]
 
-    def __iter__(self) -> Iterator[str]:
-        for start in range(0, len(self), _WRITE_CHUNK_LINES):
-            yield from self[start : start + _WRITE_CHUNK_LINES]
+    def __iter__(self) -> Iterator:
+        chunks = range(0, len(self), _WRITE_CHUNK_LINES)
+        return chain.from_iterable(self[start : start + _WRITE_CHUNK_LINES] for start in chunks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, _Lines)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
-    def __repr__(self) -> str:
-        return f"<{len(self)} lines built when read>"
+    def take(self, rows: np.ndarray, pick: Optional[Callable] = None) -> "_Lines":
+        """The column of the items at ``rows``, in that order, with the facts known of them.
 
-    def take(self, rows: np.ndarray) -> "_Lines":
-        """The view of the lines at ``rows``, in that order."""
+        ``pick`` is gatherer(rows), when one was built for several columns.
+        """
+        facts = {key: fact[rows] for key, fact in self._facts.items()}
+        if self._tuple is not None:  # a copy, so that the items not taken can be freed
+            return _Lines([(pick or gatherer(rows.tolist()))(self._tuple)], facts=facts)
         order = np.arange(len(self)) if self._order is None else self._order
-        return _Lines(self._parts, order[rows])
+        return _Lines(self._parts, order[rows], facts)
 
-    def _gather(self, rows: np.ndarray) -> tuple[str, ...]:
+    def token_counts(self) -> np.ndarray:
+        """The token count of every line, int32."""
+        return self._fact(_COUNTS)
+
+    def token_hits(self, token: str) -> np.ndarray:
+        """Whether each line holds ``token``, as a bool mask."""
+        return self._fact(token)
+
+    def codes(self) -> np.ndarray:
+        """Each origin's position in Origin, int8, for a column of origins."""
+        return self._fact(_CODES)
+
+    def _fact(self, key) -> np.ndarray:
+        fact = self._facts.get(key)
+        if fact is None:
+            facts = [_plain_fact(p, key) if type(p) is tuple else p._fact(key) for p in self._parts]
+            fact = facts[0] if len(facts) == 1 else np.concatenate(facts)
+            if self._order is not None:
+                fact = fact[self._order]
+            fact.flags.writeable = False
+            self._facts[key] = fact
+        return fact
+
+    def _gather(self, rows: np.ndarray) -> tuple:
         if self._order is not None:
             rows = self._order[rows]
         if len(self._parts) < 2:
@@ -171,7 +222,7 @@ class _Lines(SequenceABC):
         part_of = np.searchsorted(self._starts, rows, side="right") - 1
         by_part = np.argsort(part_of, kind="stable")
         bounds = np.searchsorted(part_of[by_part], range(len(self._parts) + 1)).tolist()
-        lines: list[str] = []
+        lines: list = []
         for p, part in enumerate(self._parts):
             if bounds[p] < bounds[p + 1]:
                 lines.extend(_lines_at(part, rows[by_part[bounds[p] : bounds[p + 1]]] - self._starts[p]))
@@ -222,29 +273,25 @@ class SentencePair(NamedTuple):
     origin: Origin
 
 
+def _column(items: Iterable) -> _Lines:
+    return items if isinstance(items, _Lines) else _Lines([tuple(items)])
+
+
 class Corpus:
     """Immutable ordered corpus held as three equal-length columns.
 
     ``sources[i]``, ``targets[i]`` and ``origins[i]`` make up pair i;
-    iterating or indexing yields SentencePair rows built on the fly.
-    ``origins`` is a tuple. ``sources`` and ``targets`` are tuples of
-    ``str``, or, in a derived corpus, read-only views (_Lines) that build
-    the lines from parent columns when read; ``take`` of a view composes
-    its row map instead of building lines.
-    Token counts are split out once per side and cached; the operations
-    that derive one corpus from another carry them over without splitting.
-    How many lines of a side hold a given token (the separator) is also
-    counted once and cached; concatenation sets it for its output from its
-    own construction, a subset of lines carries a count of 0, and
-    translation carries the untranslated side's count. A mix also carries
-    the manifest that build_mix computed from its components, with the
-    separator token it counted.
+    iterating or indexing yields SentencePair rows built on the fly. Each
+    column is a read-only _Lines, which equals the tuple of its items: a
+    loaded or translated column holds a tuple, and a derived one (a
+    concatenation, a mix, a subset of either) builds its lines from its
+    parent columns when they are read. A column also works out its token
+    counts and which lines hold a token once, from its parts, so a derived
+    corpus splits no line its parents have split; a translated corpus keeps
+    the column object of the side that was not translated.
     """
 
-    __slots__ = (
-        "sources", "targets", "origins", "name", "source_lang", "target_lang", "meta",
-        "_token_counts", "_token_rows", "_mix_manifest",
-    )
+    __slots__ = ("sources", "targets", "origins", "name", "source_lang", "target_lang", "meta")
 
     def __init__(
         self,
@@ -256,9 +303,9 @@ class Corpus:
         target_lang: str = "tgt",
         meta: Optional[dict[str, str]] = None,
     ):
-        self.sources: Sequence[str] = sources if isinstance(sources, _Lines) else tuple(sources)
-        self.targets: Sequence[str] = targets if isinstance(targets, _Lines) else tuple(targets)
-        self.origins: tuple[Origin, ...] = tuple(origins)
+        self.sources: _Lines = _column(sources)
+        self.targets: _Lines = _column(targets)
+        self.origins: _Lines = _column(origins)
         if not len(self.sources) == len(self.targets) == len(self.origins):
             raise ValidationError(
                 f"corpus columns differ in length: {len(self.sources)} sources, "
@@ -268,9 +315,6 @@ class Corpus:
         self.source_lang = source_lang
         self.target_lang = target_lang
         self.meta: dict[str, str] = dict(meta or {})
-        self._token_counts: dict[Side, np.ndarray] = {}
-        self._token_rows: dict[tuple[Side, str], int] = {}
-        self._mix_manifest: Optional[tuple[str, object]] = None
 
     def __len__(self) -> int:
         return len(self.sources)
@@ -282,8 +326,7 @@ class Corpus:
         return SentencePair(self.sources[i], self.targets[i], self.origins[i])
 
     def __eq__(self, other) -> bool:
-        # Content equality only; name and meta are provenance, not data,
-        # and cached token counts follow from the columns.
+        # Content equality only; name and meta are provenance, not data.
         if not isinstance(other, Corpus):
             return NotImplemented
         return (
@@ -299,53 +342,19 @@ class Corpus:
         """The pairs at ``rows``, in that order, as a new corpus in the same languages."""
         index = np.asarray(rows, dtype=np.intp)
         pick = gatherer(index.tolist())
+        columns = (column.take(index, pick) for column in (self.sources, self.targets, self.origins))
+        return Corpus(*columns, name, self.source_lang, self.target_lang, meta)
 
-        def lines(column: Sequence[str]) -> Sequence[str]:
-            return column.take(index) if isinstance(column, _Lines) else pick(column)
-
-        out = Corpus(
-            lines(self.sources),
-            lines(self.targets),
-            pick(self.origins),
-            name,
-            self.source_lang,
-            self.target_lang,
-            meta,
-        )
-        for side, counts in self._token_counts.items():
-            out._carry(side, counts[index])
-        for (side, token), rows in self._token_rows.items():
-            if rows == 0:  # no subset of these lines holds the token
-                out._carry_rows(side, token, 0)
-        return out
-
-    def column(self, side: Side) -> Sequence[str]:
+    def column(self, side: Side) -> _Lines:
         return self.sources if side is Side.SOURCE else self.targets
 
     def token_counts(self, side: Side) -> np.ndarray:
-        """One side's token_lengths, read-only, computed once and reused by derived corpora."""
-        if side not in self._token_counts:
-            self._carry(side, token_lengths(self.column(side)))
-        return self._token_counts[side]
-
-    def _carry(self, side: Side, counts: np.ndarray) -> None:
-        """Cache token counts for one side, derived from another corpus's counts."""
-        counts.flags.writeable = False
-        self._token_counts[side] = counts
-
-    def _cached_counts(self, side: Side) -> Optional[np.ndarray]:
-        return self._token_counts.get(side)
+        """One side's token_lengths, read-only, computed once and shared with derived corpora."""
+        return self.column(side).token_counts()
 
     def token_rows(self, side: Side, token: str) -> int:
-        """How many lines of one side hold ``token``: rows_with_token counted once, then cached."""
-        key = (side, token)
-        if key not in self._token_rows:
-            self._token_rows[key] = len(rows_with_token(self.column(side), token))
-        return self._token_rows[key]
-
-    def _carry_rows(self, side: Side, token: str, rows: int) -> None:
-        """Cache token_rows for one side, known from how the corpus was built."""
-        self._token_rows[side, token] = rows
+        """How many lines of one side hold ``token``, as rows_with_token counts them."""
+        return int(np.count_nonzero(self.column(side).token_hits(token)))
 
 
 class LengthStats(NamedTuple):
@@ -523,8 +532,8 @@ def validate_corpus(corpus: Corpus, sep_token: Optional[str] = None) -> list[str
         f"pair 0: {side} starts with U+FEFF, which reads back as a byte-order mark"
         for side in _sides_starting_with_bom(corpus)
     ]
-    if sep_token is not None:  # only these rows need tokenizing
-        sep_rows = {s.value: set(rows_with_token(corpus.column(s), sep_token)) for s in Side}
+    if sep_token is not None:  # only the rows these masks mark need tokenizing
+        sep_hits = {s.value: corpus.column(s).token_hits(sep_token) for s in Side}
     for i, p in enumerate(corpus):
         for side_name, line in (("source", p.source), ("target", p.target)):
             if "\n" in line or "\r" in line:
@@ -532,7 +541,7 @@ def validate_corpus(corpus: Corpus, sep_token: Optional[str] = None) -> list[str
             if not line or line.isspace():
                 problems.append(f"pair {i}: empty {side_name}")
             elif sep_token is not None:
-                n_sep = tokenize(line).count(sep_token) if i in sep_rows[side_name] else 0
+                n_sep = tokenize(line).count(sep_token) if sep_hits[side_name][i] else 0
                 if p.origin is Origin.CONCAT and n_sep != 1:
                     problems.append(
                         f"pair {i}: concatenated {side_name} has {n_sep} separator tokens, expected 1"

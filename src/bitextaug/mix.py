@@ -14,10 +14,11 @@ pseudo sentences are never joined to each other. Sub-seeds derive from
 the recipe seed by fixed offsets (concat-original: +0, concat-pseudo: +1,
 shuffle: +2) so one seed reproduces the whole mix.
 
-A mix holds no line of its own: its source and target columns are views
-over the components' columns, concat lines still unjoined, taken through
-the shuffle permutation. write_mix builds the lines one chunk at a time
-as it writes them.
+A mix holds no line of its own: its three columns are views over the
+components' columns, concat lines still unjoined, taken through the
+shuffle permutation. write_mix builds the lines one chunk at a time as it
+writes them, and the manifest reads the origin codes, token counts and
+separator mask that the columns compose from their components'.
 """
 
 from __future__ import annotations
@@ -27,17 +28,8 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .augment import DEFAULT_SEP_TOKEN, AugmentConfig, concat_augment
-from .corpus import (
-    PRNG_ID,
-    Corpus,
-    Origin,
-    Side,
-    _Lines,
-    gatherer,
-    save_parallel,
-    write_sidecar,
-)
+from .augment import AugmentConfig, concat_augment
+from .corpus import PRNG_ID, Corpus, Origin, Side, _Lines, save_parallel, write_sidecar
 from .errors import ValidationError
 from .translate import Direction, TranslatorSpec, back_translate, self_train
 
@@ -84,9 +76,8 @@ def build_mix(
     ``translators`` must carry Direction.BACKWARD for bt recipes and
     Direction.FORWARD for st; ``augment`` is required for concat recipes
     (its target_count is overridden to N per pool). Deterministic given
-    the recipe seed, inputs, and translator behavior. The mix carries its
-    manifest, counted over the components before the shuffle, to write_mix.
-    Its lines are views over the components, built when read or written.
+    the recipe seed, inputs, and translator behavior. Its columns are
+    views over the components', built when read or written.
     """
     recipe.validate()
     translators = translators or {}
@@ -142,34 +133,19 @@ def build_mix(
             }
         )
     meta.update(concat_counters)
-    # a permutation changes no count, so the manifest is taken in file order
-    sep_token = augment.sep_token if augment is not None else DEFAULT_SEP_TOKEN
-    manifest = _manifest(components, sep_token)
-    codes = np.concatenate([_origin_codes(c) for c in components])
-    counts: dict[Side, np.ndarray] = {}
-    for side in Side:
-        parts = [c._cached_counts(side) for c in components]
-        if all(part is not None for part in parts):
-            counts[side] = np.concatenate(parts)
     order = None
     if recipe.shuffle_output:
-        order = np.random.default_rng(recipe.derived_shuffle_seed).permutation(manifest.total)
-        codes = codes[order]
-        counts = {side: side_counts[order] for side, side_counts in counts.items()}
-    # the lines are views over the components, built through the shuffle when written
-    mixed = Corpus(
+        order = np.random.default_rng(recipe.derived_shuffle_seed).permutation(recipe.total_size)
+    # the columns are views over the components', built through the shuffle when written
+    return Corpus(
         _Lines([c.sources for c in components], order),
         _Lines([c.targets for c in components], order),
-        gatherer(codes.tolist())(_ORIGINS),
+        _Lines([c.origins for c in components], order),
         f"{original.name}[{recipe.name}]",
         original.source_lang,
         original.target_lang,
         meta,
     )
-    for side, side_counts in counts.items():
-        mixed._carry(side, side_counts)
-    mixed._mix_manifest = (sep_token, manifest)
-    return mixed
 
 
 class MixManifest(NamedTuple):
@@ -179,24 +155,18 @@ class MixManifest(NamedTuple):
     mean_source_len: dict[str, float]  # per origin, plain token count
 
 
-_ORIGINS = tuple(Origin)
+def mix_manifest(corpus: Corpus, sep_token: str = "<sep>") -> MixManifest:
+    """Per-origin counts, separator-containing pair count, and mean lengths.
 
-
-def _origin_codes(corpus: Corpus) -> np.ndarray:
-    """Each row's origin as its int8 index in _ORIGINS."""
-    origins = corpus.origins
-    if origins and origins.count(origins[0]) == len(origins):
-        return np.full(len(origins), _ORIGINS.index(origins[0]), np.int8)
-    return np.fromiter(map(_ORIGINS.index, origins), np.int8, len(origins))
-
-
-def _manifest(parts: list[Corpus], sep_token: str) -> MixManifest:
-    """The manifest of the corpus that concatenates ``parts``, read in file order."""
-    codes = np.concatenate([_origin_codes(p) for p in parts])
-    lens = np.concatenate([p.token_counts(Side.SOURCE) for p in parts])
+    Each is read from the per-line facts of the corpus's columns, which a
+    mix composes from its components' without building a line.
+    """
+    codes = corpus.origins.codes()
+    lens = corpus.token_counts(Side.SOURCE)
     per_origin: dict[str, int] = {}
     mean_source_len: dict[str, float] = {}
-    for code, origin in enumerate(_ORIGINS):
+    # one origin at a time, in int64: a weighted np.bincount would cast every count to a float
+    for code, origin in enumerate(Origin):
         rows = codes == code
         count = int(np.count_nonzero(rows))
         if count:
@@ -205,17 +175,9 @@ def _manifest(parts: list[Corpus], sep_token: str) -> MixManifest:
     return MixManifest(
         total=len(codes),
         per_origin=per_origin,
-        with_separator=sum(p.token_rows(Side.SOURCE, sep_token) for p in parts),
+        with_separator=corpus.token_rows(Side.SOURCE, sep_token),
         mean_source_len=mean_source_len,
     )
-
-
-def mix_manifest(corpus: Corpus, sep_token: str = "<sep>") -> MixManifest:
-    """Per-origin counts, separator-containing pair count, and mean lengths."""
-    carried = corpus._mix_manifest
-    if carried is not None and carried[0] == sep_token:
-        return carried[1]
-    return _manifest([corpus], sep_token)
 
 
 def write_mix(

@@ -20,6 +20,8 @@ import threading
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
 from .augment import AugmentConfig, DEFAULT_MIN_CONCAT_LEN, DEFAULT_SEP_TOKEN
 from .buckets import BucketSpec, parse_bucket_spec
 from .corpus import (
@@ -27,6 +29,7 @@ from .corpus import (
     Corpus,
     Origin,
     Side,
+    _Lines,
     lang_code_problems,
     read_lines,
     read_parallel,
@@ -34,7 +37,7 @@ from .corpus import (
     write_sidecar,
 )
 from .errors import PipelineError, ValidationError
-from .forked import ENDING_SIGNALS, map_forked
+from .forked import _STOP_SIGNALS, ENDING_SIGNALS, map_forked
 from .metrics import BleuReport, average_runs, bucketed_bleu_runs, report_to_csv
 from .mix import RECIPES, MixRecipe, build_mix, write_mix
 from .report import render_bucket_table, render_diff_chart
@@ -240,15 +243,13 @@ def cmd_validate(config: PipelineConfig, check_test: bool = True) -> list[str]:
 def _input_corpus(config: PipelineConfig, name: str, columns: _Columns) -> Corpus:
     """A file pair that _check_inputs read cleanly, as a corpus of original pairs.
 
-    _check_inputs rejected every line that holds sep_token, so the corpus
-    records that no line of either side holds it.
+    _check_inputs rejected every line that holds sep_token, so each column
+    records that no line holds it.
     """
-    sources, targets = columns
-    origins = (Origin.ORIGINAL,) * len(sources)
-    corpus = Corpus(sources, targets, origins, name, config.source_lang, config.target_lang)
-    for side in Side:
-        corpus._carry_rows(side, config.sep_token, 0)
-    return corpus
+    n = len(columns[0])
+    none_hold = {config.sep_token: np.zeros(n, bool)}
+    sources, targets = (_Lines([tuple(lines)], facts=none_hold) for lines in columns)
+    return Corpus(sources, targets, (Origin.ORIGINAL,) * n, name, config.source_lang, config.target_lang)
 
 
 class _Lock:
@@ -494,15 +495,20 @@ def _run(config: PipelineConfig) -> dict[str, Path]:
             _quarantine(out_dir, work, stage)
             raise
 
-        # success: promote staged outputs, replacing prior successful ones
+        # success: promote staged outputs, replacing prior successful ones; an
+        # interrupt or an ending signal waits until all of them are in place
         outputs: dict[str, Path] = {}
-        for child in sorted(work.iterdir()):
-            dest = out_dir / child.name
-            if dest.is_dir():
-                shutil.rmtree(dest)
-            elif dest.exists():
-                dest.unlink()
-            child.rename(dest)
-            outputs[child.name] = dest
-        work.rmdir()
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+        try:
+            for child in sorted(work.iterdir()):
+                dest = out_dir / child.name
+                if dest.is_dir():
+                    shutil.rmtree(dest)
+                elif dest.exists():
+                    dest.unlink()
+                child.rename(dest)
+                outputs[child.name] = dest
+            work.rmdir()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     return outputs

@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .corpus import Corpus, Origin, Side, line_problem, read_lines, scan_lines, write_lines
+from .corpus import Corpus, Origin, line_problem, read_lines, scan_lines, write_lines
 from .errors import CorpusFormatError, TranslatorError, ValidationError
 
 PathLike = Union[str, Path]
@@ -164,7 +164,8 @@ def back_translate(
         raise ValidationError("back_translate needs a backward-direction translator")
     translated = _translated_lines(backward, parallel.targets, workdir, "bt")
     meta = {"origin": Origin.PSEUDO_BT.value, "translator": backward.name, "base": parallel.name}
-    pseudo = Corpus(
+    # the target column itself, with the facts known of it
+    return Corpus(
         translated,
         parallel.targets,
         (Origin.PSEUDO_BT,) * len(parallel),
@@ -173,8 +174,6 @@ def back_translate(
         parallel.target_lang,
         meta,
     )
-    _keep_counts(parallel, pseudo, Side.TARGET)
-    return pseudo
 
 
 def self_train(
@@ -189,7 +188,7 @@ def self_train(
         raise ValidationError("self_train needs a forward-direction translator")
     translated = _translated_lines(forward, parallel.sources, workdir, "st")
     meta = {"origin": Origin.PSEUDO_ST.value, "translator": forward.name, "base": parallel.name}
-    pseudo = Corpus(
+    return Corpus(
         parallel.sources,
         translated,
         (Origin.PSEUDO_ST,) * len(parallel),
@@ -198,24 +197,12 @@ def self_train(
         parallel.target_lang,
         meta,
     )
-    _keep_counts(parallel, pseudo, Side.SOURCE)
-    return pseudo
-
-
-def _keep_counts(parallel: Corpus, pseudo: Corpus, kept: Side) -> None:
-    """Carry the cached token counts and token_rows of the side that was not translated."""
-    counts = parallel._cached_counts(kept)
-    if counts is not None:
-        pseudo._carry(kept, counts)
-    for (side, token), rows in parallel._token_rows.items():
-        if side is kept:
-            pseudo._carry_rows(side, token, rows)
 
 
 def _require_original(parallel: Corpus, op: str) -> None:
     if len(parallel) == 0:
         raise ValidationError(f"{op}: empty corpus")
-    if parallel.origins.count(Origin.ORIGINAL) != len(parallel):
+    if (parallel.origins.codes() != tuple(Origin).index(Origin.ORIGINAL)).any():
         bad = set(parallel.origins) - {Origin.ORIGINAL}
         raise ValidationError(
             f"{op} expects an original-origin corpus, found {sorted(o.value for o in bad)}"

@@ -434,6 +434,27 @@ class TestRun:
         assert "--run-seeds: run_seeds repeats seed 1" in capsys.readouterr().err
         assert not (tmp_path / "dup").exists()
 
+    def test_interrupt_during_promotion_leaves_one_run_in_place(
+        self, tmp_path, train_files, test_files, monkeypatch
+    ):
+        # an interrupt right after the first staged output is moved in takes
+        # effect only once the others are in place too
+        assert main(self.run_args(tmp_path, train_files, test_files, "out", recipe="vanilla")) == 0
+        rename = Path.rename
+
+        def interrupting_rename(path, target):
+            moved = rename(path, target)
+            if path.parent.name == ".work":
+                signal.raise_signal(signal.SIGINT)
+            return moved
+
+        monkeypatch.setattr(Path, "rename", interrupting_rename)
+        with pytest.raises(KeyboardInterrupt):
+            main(self.run_args(tmp_path, train_files, test_files, "out", recipe="vanilla+concat"))
+        manifest = read_sidecar(tmp_path / "out" / "mix" / "train.manifest")
+        metadata = read_sidecar(tmp_path / "out" / "report" / "metadata.txt")
+        assert manifest["meta.recipe"] == metadata["recipe"] == "vanilla+concat"
+
     def test_config_file_with_overrides(self, tmp_path, train_files, test_files):
         config = tmp_path / "exp.cfg"
         config.write_text(

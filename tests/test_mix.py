@@ -256,7 +256,7 @@ class TestWriteMix:
         mixed = build_mix(MixRecipe("vanilla+concat", n, seed=3), original, augment=augment_cfg())
         entries = read_sidecar(write_mix(mixed, tmp_path / "mixdir"))
         assert entries["pairs.with_separator"] == str(n)
-        assert [id(lines) for lines in scanned] == [id(original.sources), id(original.targets)]
+        assert scanned == [original.sources, original.targets]
 
 
 # The first 16 hex digits of the sha256 of train.src, train.tgt and

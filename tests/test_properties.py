@@ -1,6 +1,7 @@
 """Property tests: corpus file round trip, concat and mix alignment, sampling,
 cached token counts, mix manifests, lines built when read, BLEU and buckets."""
 
+import contextlib
 import hashlib
 import math
 import shlex
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from bitextaug import corpus as corpus_module
 from bitextaug import metrics
+from bitextaug import translate as translate_module
 from bitextaug.augment import AugmentConfig, concat_augment
 from bitextaug.buckets import STANDARD_BUCKETS, BucketSpec
 from bitextaug.corpus import (
@@ -32,6 +34,7 @@ from bitextaug.corpus import (
     rows_with_token,
     sample,
     save_parallel,
+    token_lengths,
 )
 from bitextaug.errors import CorpusFormatError
 from bitextaug.metrics import bucketed_bleu, bucketed_bleu_runs, corpus_bleu, report_to_csv
@@ -203,11 +206,10 @@ def assert_rows_exact(corpus, token):
         assert corpus.token_rows(side, token) == split_rows(corpus.column(side), token)
 
 
-def assert_counts_carried(corpus, sides):
-    """Each side in sides has cached counts, read-only int32, equal to a split of every line."""
+def assert_counts_exact(corpus, sides):
+    """Each side in sides has token counts, read-only int32, equal to a split of every line."""
     for side in sides:
-        counts = corpus._cached_counts(side)
-        assert counts is not None, f"{side} counts were not carried"
+        counts = corpus.token_counts(side)
         assert counts.dtype == np.int32
         assert not counts.flags.writeable
         assert counts.tolist() == split_counts(corpus.column(side))
@@ -252,15 +254,15 @@ def test_counts_follow_load_sample_and_take(pairs, data):
         corpus = load_parallel(src, tgt)
     for side in Side:
         assert corpus.token_counts(side).tolist() == split_counts(corpus.column(side))
-    assert_counts_carried(corpus, Side)
+    assert_counts_exact(corpus, Side)
     assert_rows_exact(corpus, "<sep>")
     n = data.draw(st.integers(0, len(corpus)))
     part = sample(corpus, n, data.draw(st.integers(0, 2**32 - 1)))
-    assert_counts_carried(part, Side)
+    assert_counts_exact(part, Side)
     assert_rows_exact(part, "<sep>")
     rows = data.draw(st.lists(st.integers(0, len(corpus) - 1), max_size=30))
     part = corpus.take(rows, "rows", {})
-    assert_counts_carried(part, Side)
+    assert_counts_exact(part, Side)
     assert_rows_exact(part, "<sep>")
 
 
@@ -271,7 +273,7 @@ def test_concat_carries_the_counts_its_pool_cached(pool, cached, count, seed):
         pool.token_counts(side)
     cfg = AugmentConfig(seed=seed, target_count=count, min_concat_len=0)
     out = concat_augment(pool, cfg)
-    assert_counts_carried(out, cached | {cfg.length_side})
+    assert_counts_exact(out, Side)
     drawn = [int(out.meta[key]) for key in ("draws", "rejected_short", "rejected_self")]
     assert drawn[0] - drawn[1] - drawn[2] == count
 
@@ -284,12 +286,11 @@ def test_translation_keeps_the_counts_of_the_untranslated_side(pool, mode):
         pool.token_rows(side, "<sep>")
     pseudo_bt = back_translate(pool, mock_spec(mode, Direction.BACKWARD))
     pseudo_st = self_train(pool, mock_spec(mode, Direction.FORWARD))
-    assert_counts_carried(pseudo_bt, [Side.TARGET])
-    assert_counts_carried(pseudo_st, [Side.SOURCE])
-    assert pseudo_bt._cached_counts(Side.SOURCE) is None
-    assert pseudo_st._cached_counts(Side.TARGET) is None
-    assert set(pseudo_bt._token_rows) == {(Side.TARGET, "<sep>")}
-    assert set(pseudo_st._token_rows) == {(Side.SOURCE, "<sep>")}
+    # the untranslated side is the pool's own column, with the facts known of it
+    assert pseudo_bt.targets is pool.targets
+    assert pseudo_st.sources is pool.sources
+    assert_counts_exact(pseudo_bt, Side)
+    assert_counts_exact(pseudo_st, Side)
     assert_rows_exact(pseudo_bt, "<sep>")
     assert_rows_exact(pseudo_st, "<sep>")
 
@@ -300,8 +301,71 @@ def test_build_mix_carries_source_counts_through_the_shuffle(pool, recipe_name, 
     recipe = MixRecipe(recipe_name, base_size=len(pool), seed=seed)
     translators = {Direction.BACKWARD: mock_spec("reverse", Direction.BACKWARD)}
     mixed = build_mix(recipe, pool, translators, AugmentConfig(seed=0, min_concat_len=0))
-    assert_counts_carried(mixed, [Side.SOURCE])
+    assert_counts_exact(mixed, Side)
     assert mix_manifest(mixed) == reference_manifest(mixed, "<sep>")
+
+
+@contextlib.contextmanager
+def recorded_scans():
+    """Every token_lengths and rows_with_token call in the package, as (name, lines, token)."""
+    calls = []
+
+    def recording(func):
+        def record(lines, *token):
+            calls.append((func.__name__, lines, token))
+            return func(lines, *token)
+
+        return record
+
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            for func in (token_lengths, rows_with_token):
+                if name.startswith("bitextaug") and getattr(module, func.__name__, None) is func:
+                    stack.enter_context(mock.patch.object(module, func.__name__, recording(func)))
+        yield calls
+
+
+def reversed_tokens(spec, lines, workdir, label):
+    """A back-translator in-process: each line's tokens reversed, joined by tabs."""
+    return ["\t".join(reversed(line.split())) for line in lines]
+
+
+@SETTINGS
+@given(spaced_pools(), st.booleans(), st.booleans(), ODD_TOKENS, st.integers(0, 2**32 - 1), st.data())
+def test_facts_compose_without_building_lines(loaded, warm, shuffled, other, seed, data):
+    with recorded_scans() as scans, mock.patch.object(translate_module, "_translated_lines", reversed_tokens):
+        if warm:  # facts the loaded corpus knows before it is cut
+            for side in Side:
+                loaded.token_counts(side), loaded.token_rows(side, "<sep>")
+        if data.draw(st.booleans()):
+            part = sample(loaded, data.draw(st.integers(2, len(loaded))), seed)
+        else:
+            rows = data.draw(st.lists(st.integers(0, len(loaded) - 1), min_size=2, max_size=30))
+            part = loaded.take(rows, "rows", {})
+        cfg = AugmentConfig(seed=seed, min_concat_len=0, target_count=len(part))
+        concat = concat_augment(part, cfg)
+        backward = mock_spec("reverse", Direction.BACKWARD)  # never started: the lines are reversed in-process
+        pseudo = back_translate(part, backward)
+        recipe = MixRecipe("vanilla+bt+concat", len(part), seed=seed, shuffle_output=shuffled)
+        mixed = build_mix(recipe, part, {Direction.BACKWARD: backward}, cfg)
+        facts = [
+            (corpus.token_counts(side), {token: corpus.token_rows(side, token) for token in ("<sep>", other)})
+            for corpus in (part, concat, pseudo, mixed)
+            for side in Side
+        ]
+        manifests = [mix_manifest(mixed, token) for token in ("<sep>", other)]
+    # only loaded or translated lines were split, each column once per token
+    plain = [loaded.sources, loaded.targets, part.sources, part.targets, pseudo.sources]
+    for _, lines, _ in scans:
+        assert type(lines) is tuple and any(lines == column for column in plain)
+    assert max(Counter((name, id(lines), token) for name, lines, token in scans).values()) == 1
+    expected = [
+        (split_counts(lines), {token: split_rows(lines, token) for token in ("<sep>", other)})
+        for corpus in (part, concat, pseudo, mixed)
+        for lines in map(corpus.column, Side)
+    ]
+    assert [(counts.tolist(), rows) for counts, rows in facts] == expected
+    assert manifests == [reference_manifest(mixed, token) for token in ("<sep>", other)]
 
 
 @SETTINGS
@@ -349,8 +413,8 @@ def test_write_mix_records_the_hashes_of_the_written_files(pool, seed):
 
 
 def uncached(corpus):
-    """The corpus rebuilt from its columns, without cached counts or a carried manifest."""
-    return Corpus(corpus.sources, corpus.targets, corpus.origins)
+    """The corpus rebuilt from tuples of its built lines, so no fact of its columns is known."""
+    return Corpus(tuple(corpus.sources), tuple(corpus.targets), tuple(corpus.origins))
 
 
 @pytest.mark.parametrize("recipe_name", RECIPES)
@@ -390,7 +454,7 @@ def test_take_and_gatherer_pick_every_row_in_order(case):
     assert rows_of(part) == rows
     assert part.targets == tuple(f"t{i}" for i in rows)
     assert part.origins == (Origin.ORIGINAL,) * len(rows)
-    assert_counts_carried(part, [Side.SOURCE])
+    assert_counts_exact(part, [Side.SOURCE])
 
 
 @SETTINGS
@@ -423,7 +487,7 @@ def line_parts(draw):
             pool = tuple(draw(st.lists(pool_lines, min_size=1, max_size=6)))
             rows = st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n)
             first, second = draw(rows), draw(rows)
-            parts.append(_Joined(pool, np.array(first, np.intp), np.array(second, np.intp), "<sep>"))
+            parts.append(_Joined(_Lines([pool]), np.array(first, np.intp), np.array(second, np.intp), "<sep>"))
             # the construction concat used when it joined every line up front
             eager.extend(map(" <sep> ".join, zip(gatherer(first)(pool), gatherer(second)(pool))))
     return parts, tuple(eager)
