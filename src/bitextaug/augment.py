@@ -40,6 +40,8 @@ class AugmentConfig(NamedTuple):
     max_attempts_factor: int = 100
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if tokenize(self.sep_token) != [self.sep_token]:
             raise ValidationError(
                 f"sep_token must be a single whitespace-free token, got {self.sep_token!r}"

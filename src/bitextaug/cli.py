@@ -45,20 +45,24 @@ EXIT_VALIDATION = 1
 EXIT_PIPELINE = 2
 EXIT_TRANSLATOR = 3
 
+# the defaults of the flags that set a pipeline config key
+_DEFAULTS = PipelineConfig()
+
 
 def _add_pair_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--source", required=True, help="source-side file, one sentence per line")
     p.add_argument("--target", required=True, help="target-side file, aligned line by line")
-    p.add_argument("--source-lang", default="src")
-    p.add_argument("--target-lang", default="tgt")
+    p.add_argument("--source-lang", default=_DEFAULTS.source_lang)
+    p.add_argument("--target-lang", default=_DEFAULTS.target_lang)
 
 
 def _add_augment_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sep-token", default="<sep>")
-    p.add_argument("--min-len", type=int, default=25, help="minimum post-concatenation length")
-    p.add_argument("--length-side", choices=["source", "target"], default="source")
+    p.add_argument("--sep-token", default=_DEFAULTS.sep_token)
+    p.add_argument("--min-len", type=int, default=_DEFAULTS.min_concat_len,
+                   help="minimum post-concatenation length")
+    p.add_argument("--length-side", choices=["source", "target"], default=_DEFAULTS.length_side)
     p.add_argument("--count-sep", action="store_true", help="count the separator toward lengths")
-    p.add_argument("--max-attempts-factor", type=int, default=100)
+    p.add_argument("--max-attempts-factor", type=int, default=_DEFAULTS.max_attempts_factor)
 
 
 def _load_pair(args, origin: Origin = Origin.ORIGINAL) -> Corpus:
@@ -162,13 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bt", help="back-translate: pseudo sources from original targets")
     _add_pair_args(p)
     p.add_argument("--backward-cmd", required=True, help="command with {IN} and {OUT}")
-    p.add_argument("--timeout", type=float, default=600.0)
+    p.add_argument("--timeout", type=float, default=_DEFAULTS.timeout)
     p.add_argument("--out-prefix", required=True)
 
     p = sub.add_parser("st", help="self-train: pseudo targets from original sources")
     _add_pair_args(p)
     p.add_argument("--forward-cmd", required=True, help="command with {IN} and {OUT}")
-    p.add_argument("--timeout", type=float, default=600.0)
+    p.add_argument("--timeout", type=float, default=_DEFAULTS.timeout)
     p.add_argument("--out-prefix", required=True)
 
     p = sub.add_parser("mix", help="assemble a training-data recipe")
@@ -179,16 +183,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-shuffle", action="store_true")
     p.add_argument("--forward-cmd", default="")
     p.add_argument("--backward-cmd", default="")
-    p.add_argument("--timeout", type=float, default=600.0)
+    p.add_argument("--timeout", type=float, default=_DEFAULTS.timeout)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("bleu", help="corpus BLEU, bucketed when sources are given")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--src", help="source file for length bucketing")
-    p.add_argument("--buckets", default="standard",
+    p.add_argument("--buckets", default=_DEFAULTS.buckets,
                    help="standard | extended | pairwise | comma-separated bounds")
-    p.add_argument("--n-order", type=int, default=4)
+    p.add_argument("--n-order", type=int, default=_DEFAULTS.n_order)
     p.add_argument("--smooth", action="store_true", help="add-one smoothing on higher orders")
     p.add_argument("--out-csv")
 

@@ -579,6 +579,8 @@ def sample(corpus: Corpus, n: int, seed: int) -> Corpus:
         raise ValidationError(f"sample: n={n} exceeds corpus size {size}")
     if n < 0:
         raise ValidationError(f"sample: n must be >= 0, got {n}")
+    if seed < 0:
+        raise ValidationError(f"sample: seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(size, size=n, replace=False))
     meta = dict(corpus.meta)
@@ -595,6 +597,8 @@ def holdout_split(corpus: Corpus, train_n: int, test_n: int, seed: int) -> tuple
     size = len(corpus)
     if train_n < 0 or test_n < 0:
         raise ValidationError("holdout_split: counts must be >= 0")
+    if seed < 0:
+        raise ValidationError(f"holdout_split: seed must be >= 0, got {seed}")
     if train_n + test_n > size:
         raise ValidationError(
             f"holdout_split: train_n + test_n = {train_n + test_n} exceeds corpus size {size}"

@@ -42,6 +42,7 @@ import csv
 import io
 import math
 import os
+from collections import _count_elements  # the counting loop of Counter.update, in C where built
 from itertools import repeat
 from operator import add
 from typing import NamedTuple, Optional, Sequence
@@ -52,15 +53,6 @@ from .buckets import BucketSpec
 from .corpus import scan_lines, token_lengths, tokenize
 from .errors import ValidationError
 from .forked import map_forked
-
-try:  # C-accelerated counter used by collections.Counter itself
-    from collections import _count_elements
-except ImportError:  # pragma: no cover - pure-python fallback
-
-    def _count_elements(mapping, iterable):
-        get = mapping.get
-        for elem in iterable:
-            mapping[elem] = get(elem, 0) + 1
 
 
 # Each shard gets at least this many characters of hypothesis text. On a

@@ -50,6 +50,9 @@ class MixRecipe(NamedTuple):
             raise ValidationError(f"unknown recipe {self.name!r}, expected one of {RECIPES}")
         if self.base_size < 2:
             raise ValidationError(f"base_size must be >= 2, got {self.base_size}")
+        for key, seed in (("seed", self.seed), ("shuffle_seed", self.shuffle_seed)):
+            if seed is not None and seed < 0:
+                raise ValidationError(f"{key} must be >= 0, got {seed}")
 
     @property
     def total_size(self) -> int:

@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .augment import AugmentConfig, DEFAULT_MIN_CONCAT_LEN, DEFAULT_SEP_TOKEN
+from .augment import AugmentConfig
 from .buckets import BucketSpec, parse_bucket_spec
 from .corpus import (
     PRNG_ID,
@@ -61,22 +61,20 @@ class PipelineConfig:
     concat_seed: int = 1
     shuffle_seed: int = -1  # -1 derives concat_seed + 2
     run_seeds: tuple[int, ...] = (1, 2, 3)
-    sep_token: str = DEFAULT_SEP_TOKEN
-    min_concat_len: int = DEFAULT_MIN_CONCAT_LEN
-    length_side: str = "source"
-    count_sep_in_length: bool = False
-    max_attempts_factor: int = 100
+    sep_token: str = AugmentConfig._field_defaults["sep_token"]
+    min_concat_len: int = AugmentConfig._field_defaults["min_concat_len"]
+    length_side: str = AugmentConfig._field_defaults["length_side"].value
+    count_sep_in_length: bool = AugmentConfig._field_defaults["count_sep_in_length"]
+    max_attempts_factor: int = AugmentConfig._field_defaults["max_attempts_factor"]
     shuffle_output: bool = True
     buckets: str = "standard"
     forward_cmd: str = ""
     backward_cmd: str = ""
-    timeout: float = 600.0
+    timeout: float = TranslatorSpec._field_defaults["timeout"]
     source_lang: str = "src"
     target_lang: str = "tgt"
     n_order: int = 4
     smooth: bool = False
-
-    _BOOL_FIELDS = ("count_sep_in_length", "shuffle_output", "smooth")
 
     @classmethod
     def field_names(cls) -> list[str]:
@@ -109,12 +107,10 @@ class PipelineConfig:
             if len(set(seeds)) < len(seeds):
                 raise ValidationError(f"{where}: run_seeds repeats seed {max(seeds, key=seeds.count)}")
             setattr(self, key, seeds)
-        elif key in self._BOOL_FIELDS:
+        elif isinstance(current, bool):
             if value.lower() not in ("true", "false", "0", "1", "yes", "no"):
                 raise ValidationError(f"{where}: bad boolean {value!r} for {key}")
             setattr(self, key, value.lower() in ("true", "1", "yes"))
-        elif isinstance(current, bool):  # pragma: no cover - covered by _BOOL_FIELDS
-            raise AssertionError
         elif isinstance(current, int):
             try:
                 setattr(self, key, int(value))
@@ -205,6 +201,8 @@ def _check_inputs(config: PipelineConfig, check_test: bool) -> tuple[list[str], 
             columns["test"] = sources, targets
     if config.base_size < 0 or config.base_size == 1:
         violations.append(f"config: base_size must be 0 (all pairs) or >= 2, got {config.base_size}")
+    if config.sample_seed < 0:
+        violations.append(f"config: sample_seed must be >= 0, got {config.sample_seed}")
     if config.n_order < 1:
         violations.append(f"config: n_order must be >= 1, got {config.n_order}")
     violations += [f"config: {p}" for p in lang_code_problems(config.source_lang, config.target_lang)]
@@ -327,11 +325,8 @@ def _decode_and_score(config: PipelineConfig, test: Corpus, runs_dir: Path) -> l
         for seed in config.run_seeds:
             run_dir = runs_dir / f"run-{seed}"
             run_dir.mkdir(parents=True)
-            hyp_path = translate_file(
-                forward, Path(config.test_source), run_dir / "hyp.txt", seed=seed
-            )
+            hyps = translate_file(forward, Path(config.test_source), run_dir / "hyp.txt", seed=seed)
             stage = "score"
-            hyps = read_lines(hyp_path)
             if len(hyps) != len(test):
                 raise PipelineError(
                     f"run {seed}: decoder returned {len(hyps)} lines for {len(test)} test items"

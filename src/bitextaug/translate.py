@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .corpus import Corpus, Origin, line_problem, read_lines, scan_lines, write_lines
+from .corpus import Corpus, Origin, Side, line_problem, read_lines, scan_lines, write_lines
 from .errors import CorpusFormatError, TranslatorError, ValidationError
 
 PathLike = Union[str, Path]
@@ -28,6 +28,7 @@ PathLike = Union[str, Path]
 # listed (comma-separated) in BITEXTAUG_PASS_ENV.
 ENV_ALLOWLIST = ("PATH", "HOME", "LANG", "LC_ALL", "LC_CTYPE", "TMPDIR", "PYTHONPATH")
 PASS_ENV_VAR = "BITEXTAUG_PASS_ENV"
+MAX_TIMEOUT = (2**31 - 1) // 1000  # seconds: the wait is a poll() of C-int milliseconds
 
 
 class Direction(enum.Enum):
@@ -49,8 +50,10 @@ class TranslatorSpec(NamedTuple):
                     f"translator {self.name!r}: template must contain {placeholder} "
                     f"exactly once, found {n}: {self.command_template!r}"
                 )
-        if self.timeout <= 0:
-            raise ValidationError(f"translator {self.name!r}: timeout must be > 0")
+        if not 0 < self.timeout <= MAX_TIMEOUT:  # nan compares false too
+            raise ValidationError(
+                f"translator {self.name!r}: timeout must be in (0, {MAX_TIMEOUT}] s, got {self.timeout}"
+            )
 
 
 def _child_env() -> dict[str, str]:
@@ -63,21 +66,18 @@ def _child_env() -> dict[str, str]:
     return env
 
 
-def _count_lines(path: Path) -> int:
-    return sum(1 for _ in scan_lines(path))
-
-
 def translate_file(
     spec: TranslatorSpec,
     input_path: PathLike,
     output_path: Optional[PathLike] = None,
     seed: Optional[int] = None,
-) -> Path:
+) -> list[str]:
     """Run the external command on a one-sentence-per-line file.
 
     The output must come back with exactly as many lines as the input.
     An optional {SEED} placeholder in the template is expanded when a seed
-    is given (used for per-run decoding seeds). Returns the output path.
+    is given (used for per-run decoding seeds). Returns the output's lines,
+    read once as read_lines reads them; the file stays at output_path.
     """
     spec.validate()
     input_path = Path(input_path)
@@ -122,18 +122,18 @@ def translate_file(
         raise TranslatorError(
             f"translator {spec.name!r} exited {proc.returncode}: {command}\n{tail}"
         )
-    n_in = _count_lines(input_path)
+    n_in = sum(1 for _ in scan_lines(input_path))
     try:
-        n_out = _count_lines(output_path)
+        out = read_lines(output_path)
     except CorpusFormatError as exc:
         message = f"translator {spec.name!r} produced no output that can be read: {exc}"
         raise TranslatorError(message) from exc
-    if n_in != n_out:
+    if n_in != len(out):
         raise TranslatorError(
             f"translator {spec.name!r} line-count mismatch: {n_in} input lines vs "
-            f"{n_out} output lines"
+            f"{len(out)} output lines"
         )
-    return output_path
+    return out
 
 
 def _translated_lines(
@@ -142,7 +142,7 @@ def _translated_lines(
     with tempfile.TemporaryDirectory(dir=workdir, prefix="bitextaug-") as td:
         in_path = Path(td) / f"{label}.in"
         write_lines(in_path, lines)
-        out = read_lines(translate_file(spec, in_path, Path(td) / f"{label}.out"))
+        out = translate_file(spec, in_path, Path(td) / f"{label}.out")
     for i, line in enumerate(out):
         problem = line_problem(line)
         if problem is not None:
@@ -159,21 +159,7 @@ def back_translate(
     technique: target-side diversity is preserved), so target lines of the
     result are byte-identical to the input's. Pair order is preserved.
     """
-    _require_original(parallel, "back_translate")
-    if backward.direction is not Direction.BACKWARD:
-        raise ValidationError("back_translate needs a backward-direction translator")
-    translated = _translated_lines(backward, parallel.targets, workdir, "bt")
-    meta = {"origin": Origin.PSEUDO_BT.value, "translator": backward.name, "base": parallel.name}
-    # the target column itself, with the facts known of it
-    return Corpus(
-        translated,
-        parallel.targets,
-        (Origin.PSEUDO_BT,) * len(parallel),
-        f"{parallel.name}+bt",
-        parallel.source_lang,
-        parallel.target_lang,
-        meta,
-    )
+    return _pseudo_pairs(parallel, backward, workdir, Side.TARGET)
 
 
 def self_train(
@@ -183,30 +169,34 @@ def self_train(
 
     Source sentences pass through untouched; pair order is preserved.
     """
-    _require_original(parallel, "self_train")
-    if forward.direction is not Direction.FORWARD:
-        raise ValidationError("self_train needs a forward-direction translator")
-    translated = _translated_lines(forward, parallel.sources, workdir, "st")
-    meta = {"origin": Origin.PSEUDO_ST.value, "translator": forward.name, "base": parallel.name}
-    return Corpus(
-        parallel.sources,
-        translated,
-        (Origin.PSEUDO_ST,) * len(parallel),
-        f"{parallel.name}+st",
-        parallel.source_lang,
-        parallel.target_lang,
-        meta,
-    )
+    return _pseudo_pairs(parallel, forward, workdir, Side.SOURCE)
 
 
-def _require_original(parallel: Corpus, op: str) -> None:
+# per translated side: the operation, its translator's direction, the pairs' origin and file label
+_PSEUDO = {
+    Side.TARGET: ("back_translate", Direction.BACKWARD, Origin.PSEUDO_BT, "bt"),
+    Side.SOURCE: ("self_train", Direction.FORWARD, Origin.PSEUDO_ST, "st"),
+}
+
+
+def _pseudo_pairs(
+    parallel: Corpus, spec: TranslatorSpec, workdir: Optional[PathLike], side: Side
+) -> Corpus:
+    """Translate one side of an original corpus into the other; the side itself is kept."""
+    op, direction, origin, label = _PSEUDO[side]
     if len(parallel) == 0:
         raise ValidationError(f"{op}: empty corpus")
     if (parallel.origins.codes() != tuple(Origin).index(Origin.ORIGINAL)).any():
-        bad = set(parallel.origins) - {Origin.ORIGINAL}
-        raise ValidationError(
-            f"{op} expects an original-origin corpus, found {sorted(o.value for o in bad)}"
-        )
+        found = sorted(o.value for o in set(parallel.origins) - {Origin.ORIGINAL})
+        raise ValidationError(f"{op} expects an original-origin corpus, found {found}")
+    if spec.direction is not direction:
+        raise ValidationError(f"{op} needs a {direction.value}-direction translator")
+    kept = parallel.column(side)  # the column itself, with the facts known of it
+    translated = _translated_lines(spec, kept, workdir, label)
+    columns = (translated, kept) if side is Side.TARGET else (kept, translated)
+    meta = {"origin": origin.value, "translator": spec.name, "base": parallel.name}
+    return Corpus(*columns, (origin,) * len(parallel), f"{parallel.name}+{label}",
+                  parallel.source_lang, parallel.target_lang, meta)
 
 
 def mock_spec(

@@ -13,7 +13,7 @@ import pytest
 
 from bitextaug import pipeline
 from bitextaug.cli import main
-from bitextaug.corpus import Corpus, load_parallel, read_sidecar, rows_with_token, scan_lines
+from bitextaug.corpus import Corpus, load_parallel, read_lines, read_sidecar, rows_with_token, scan_lines
 from bitextaug.metrics import report_from_csv
 from bitextaug.pipeline import PipelineConfig, cmd_run
 
@@ -130,6 +130,18 @@ class TestValidate:
         assert code == 1
         assert message in capsys.readouterr().out
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "-inf", "0", "1e7"])
+    def test_timeout_that_the_translator_wait_cannot_take_is_a_violation(
+        self, train_files, capsys, timeout
+    ):
+        src, tgt = train_files
+        code = main(
+            ["validate", "--source", str(src), "--target", str(tgt),
+             "--backward-cmd", "cp {IN} {OUT}", f"--timeout={timeout}"]
+        )
+        assert code == 1
+        assert f"timeout must be in (0, 2147483] s, got {float(timeout)}" in capsys.readouterr().out
+
     def test_bad_translator_template(self, train_files, capsys):
         src, tgt = train_files
         code = main(
@@ -211,6 +223,44 @@ class TestDataCommands:
              "--backward-cmd", "false # {IN} {OUT}", "--out-prefix", str(tmp_path / "bt")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("command,flag", [("bt", "--backward-cmd"), ("st", "--forward-cmd")])
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "1e7"])
+    def test_timeout_that_the_translator_wait_cannot_take_is_a_validation_error(
+        self, train_files, tmp_path, capsys, command, flag, timeout
+    ):
+        src, tgt = train_files
+        code = main(
+            [command, "--source", str(src), "--target", str(tgt), flag, mock_cmd("identity"),
+             "--timeout", timeout, "--out-prefix", str(tmp_path / command)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "timeout must be in (0, 2147483] s" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,messages",
+        [
+            (["sample", "-n", "10", "--seed", "-3", "--out-prefix", "{out}/s"], ["seed must be >= 0, got -3"]),
+            (["split", "--train-n", "40", "--test-n", "20", "--seed", "-1", "--out-dir", "{out}"],
+             ["seed must be >= 0, got -1"]),
+            (["concat", "--count", "80", "--seed", "-1", "--out-prefix", "{out}/c"],
+             ["seed must be >= 0, got -1"]),
+            (["mix", "--recipe", "vanilla+concat", "--seed", "-1", "--out-dir", "{out}"],
+             ["seed must be >= 0, got -1"]),
+            (["validate", "--concat-seed", "-1", "--sample-seed", "-2", "--base-size", "10"],
+             ["config: seed must be >= 0, got -1", "config: sample_seed must be >= 0, got -2"]),
+        ],
+    )
+    def test_negative_seed_is_a_validation_error(self, train_files, tmp_path, capsys, argv, messages):
+        src, tgt = train_files
+        argv = [a.replace("{out}", str(tmp_path / "out")) for a in argv]
+        code = main(argv + ["--source", str(src), "--target", str(tgt)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert all(m in captured.out + captured.err for m in messages)
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_source_is_a_validation_error(self, train_files, tmp_path, capsys):
         missing = tmp_path / "missing.src"
@@ -434,6 +484,15 @@ class TestRun:
         assert "--run-seeds: run_seeds repeats seed 1" in capsys.readouterr().err
         assert not (tmp_path / "dup").exists()
 
+    def test_negative_sample_seed_stops_the_run_at_validate(self, tmp_path, train_files, test_files, capsys):
+        args = self.run_args(tmp_path, train_files, test_files, "negseed", recipe="vanilla")
+        code = main(args + ["--sample-seed", "-2", "--base-size", "10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config: sample_seed must be >= 0, got -2" in err and "Traceback" not in err
+        quarantined = list((tmp_path / "negseed" / "quarantine").iterdir())
+        assert [q.name for q in quarantined] == ["0001-validate"]
+
     def test_interrupt_during_promotion_leaves_one_run_in_place(
         self, tmp_path, train_files, test_files, monkeypatch
     ):
@@ -509,7 +568,8 @@ class TestRun:
     def test_training_and_test_targets_are_scanned_once(
         self, tmp_path, train_files, test_files, monkeypatch
     ):
-        # the test source is left out: translate_file counts its lines on every run seed
+        # without os.fork the test side runs in this process, so its scans count too
+        monkeypatch.delattr(os, "fork")
         scanned: Counter = Counter()
 
         def counting_scan(path):
@@ -520,7 +580,15 @@ class TestRun:
             if name.startswith("bitextaug") and getattr(module, "scan_lines", None) is scan_lines:
                 monkeypatch.setattr(module, "scan_lines", counting_scan)
         assert main(self.run_args(tmp_path, train_files, test_files, "once")) == 0
-        assert [scanned[path] for path in (*train_files, test_files[1])] == [1, 1, 1]
+        # the back-translator's files lived in a temporary directory of the run
+        bt_files = {path.name: n for path, n in scanned.items() if path.name.startswith("bt.")}
+        others = {path: n for path, n in scanned.items() if not path.name.startswith("bt.")}
+        hyps = [tmp_path / "once" / ".work" / "runs" / f"run-{seed}" / "hyp.txt" for seed in (1, 2, 3)]
+        # translate_file counts the lines of its own input: the input check
+        # reads the test source once, and each of the 3 run seeds once more
+        assert bt_files == {"bt.in": 1, "bt.out": 1}
+        assert others == {train_files[0]: 1, train_files[1]: 1, test_files[1]: 1, test_files[0]: 4,
+                          **{hyp: 1 for hyp in hyps}}
 
     def test_only_the_back_translated_sources_are_scanned_for_the_separator(
         self, tmp_path, train_files, test_files, monkeypatch
@@ -551,7 +619,7 @@ class TestRun:
         def decode(spec, input_path, output_path, seed=None):
             lines = Path(input_path).read_text(encoding="utf-8").splitlines(keepends=True)
             Path(output_path).write_text("".join(lines[:-1] if seed == 2 else lines), encoding="utf-8")
-            return Path(output_path)
+            return read_lines(output_path)
 
         monkeypatch.setattr(pipeline, "translate_file", decode)
         code = main(self.run_args(tmp_path, train_files, test_files, "short", recipe="vanilla"))

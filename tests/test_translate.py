@@ -46,6 +46,13 @@ class TestTranslatorSpec:
         with pytest.raises(ValidationError, match="timeout"):
             TranslatorSpec("x {IN} {OUT}", Direction.FORWARD, timeout=0).validate()
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), float("-inf"), 2147484])
+    def test_timeout_that_the_wait_cannot_take(self, timeout):
+        # a longer wait than poll() takes raised OverflowError from inside the decode
+        with pytest.raises(ValidationError, match=r"timeout must be in \(0, 2147483\] s"):
+            TranslatorSpec("x {IN} {OUT}", Direction.FORWARD, timeout=timeout).validate()
+        TranslatorSpec("x {IN} {OUT}", Direction.FORWARD, timeout=2147483).validate()
+
 
 class TestTranslateFile:
     def test_identity_mock(self, tmp_path):
@@ -53,7 +60,8 @@ class TestTranslateFile:
         lines = [f"line {i} alpha beta" for i in range(5)]
         write_lines(infile, lines)
         out = translate_file(mock_spec("identity", Direction.FORWARD), infile)
-        assert out.read_text(encoding="utf-8") == infile.read_text(encoding="utf-8")
+        assert out == lines
+        assert infile.with_name("in.txt.mock-identity.out").read_bytes() == infile.read_bytes()
 
     def test_reverse_mock(self, tmp_path):
         infile = tmp_path / "in.txt"
@@ -61,14 +69,14 @@ class TestTranslateFile:
         out = translate_file(
             mock_spec("reverse", Direction.FORWARD), infile, tmp_path / "out.txt"
         )
-        assert out.read_text(encoding="utf-8") == "c b a\n"
+        assert out == ["c b a"]
 
     def test_truncate_mock(self, tmp_path):
         infile = tmp_path / "in.txt"
         write_lines(infile, ["t0 t1 t2 t3 t4 t5 t6 t7"])
         spec = mock_spec("truncate", Direction.FORWARD, max_tokens=3)
         out = translate_file(spec, infile, tmp_path / "out.txt")
-        assert out.read_text(encoding="utf-8") == "t0 t1 t2\n"
+        assert out == ["t0 t1 t2"]
 
     def test_nonzero_exit_carries_diagnostics(self, tmp_path):
         infile = tmp_path / "in.txt"
@@ -86,8 +94,8 @@ class TestTranslateFile:
         write_lines(infile, ["a b"])
         spec = TranslatorSpec("printf '\\377 warn\\n' >&2; cp {IN} {OUT}", Direction.FORWARD)
         out = translate_file(spec, infile, tmp_path / "out.txt")
-        assert out == tmp_path / "out.txt"
-        assert out.read_text(encoding="utf-8") == "a b\n"
+        assert out == ["a b"]
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "a b\n"
 
     def test_undecodable_stderr_keeps_failure_diagnostics(self, tmp_path):
         infile = tmp_path / "in.txt"
