@@ -3,16 +3,16 @@
 Corpora are line-aligned plain-text file pairs: UTF-8, LF line endings,
 one sentence per line, equal line counts. In memory a corpus is three
 aligned columns (source lines, target lines, origin tags) of one private
-type, _Lines. A loaded or translated column holds a tuple; a derived one
-(a concatenation, a mix, a subset of either) builds its lines from its
-parent columns when they are read, one write chunk at a time, so joined
-lines are never all held at once. Each column works out its per-line
-facts (token counts, which lines hold a token, origin codes) once, from
-its parts' facts, without building a joined line. A token, or
-"word", is a maximal run of characters for which ``str.isspace()`` is
-false, so tab, U+3000, NBSP, U+2028 and U+0085 separate tokens and only
-``\n`` ends a line; ``tokenize`` is that rule, for every length, bucket,
-separator check and BLEU n-gram in the package.
+type, _Lines. A loaded or translated column holds its items in a numpy
+object array; a derived one (a concatenation, a mix, a subset of either)
+builds its lines from its parent columns by numpy indexing when they are
+read, one write chunk at a time, so joined lines are never all held at
+once. Each column works out its per-line facts (token counts, which lines
+hold a token, origin codes) once, from its parts' facts, without building
+a joined line. A token, or "word", is a maximal run of characters for
+which ``str.isspace()`` is false, so tab, U+3000, NBSP, U+2028 and U+0085
+separate tokens and only ``\n`` ends a line; ``tokenize`` is that rule,
+for every length, bucket, separator check and BLEU n-gram in the package.
 
 All randomized operations use numpy's PCG64 generator so that a given
 seed reproduces the same output on any platform. The generator id
@@ -25,9 +25,9 @@ import enum
 import hashlib
 import operator
 from collections.abc import Sequence as SequenceABC
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,45 +59,42 @@ def rows_with_token(lines: Sequence[str], token: str) -> list[int]:
     return [i for i in hits if spaced in lines[i] or token in tokenize(lines[i])]
 
 
-def gatherer(rows: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """A function from a column to the tuple of its items at ``rows``, in that order.
-
-    Built once, it picks the same rows from each column in one C-level pass.
-    """
-    if len(rows) > 1:
-        return operator.itemgetter(*rows)
-    # itemgetter of one row returns the bare item, and of none it cannot be built
-    return lambda column: tuple(column[i] for i in rows)
-
-
 # lines built or encoded at a time, so no whole column is ever held as one
 # str or bytes, and a derived column's lines are never all built at once
 _WRITE_CHUNK_LINES = 4096
 
 
-def _lines_at(lines: Sequence, rows: np.ndarray) -> tuple:
-    """The items at ``rows``, in that order, from a tuple, a _Joined or a column."""
-    if isinstance(lines, (_Lines, _Joined)):
-        return lines._gather(rows)
-    return gatherer(rows.tolist())(lines)
+def _array(items: Iterable) -> np.ndarray:
+    """Plain items as a read-only 1-d object array; an object array is kept as it is."""
+    if isinstance(items, np.ndarray):
+        array = items.astype(object, copy=False)  # a str array's items become str
+    else:
+        array = np.fromiter(items, object)
+    array.flags.writeable = False
+    return array
 
 
 # the keys of a column's per-line facts besides the token masks, which are keyed by their token
 _COUNTS, _CODES = object(), object()
 
 
-def _plain_fact(items: tuple, key) -> np.ndarray:
-    """One per-line fact of a tuple of lines, or of origins, read from the items themselves."""
+def _plain_fact(items: np.ndarray, key) -> np.ndarray:
+    """One per-line fact of an array of lines, or of origins, read from the items themselves."""
     if key is _COUNTS:
         return token_lengths(items)
     if key is _CODES:  # each origin's position in Origin
         origins = tuple(Origin)
-        if items and items.count(items[0]) == len(items):
+        if len(items) and (items == items[0]).all():
             return np.full(len(items), origins.index(items[0]), np.int8)
         return np.fromiter(map(origins.index, items), np.int8, len(items))
     hits = np.zeros(len(items), bool)
     hits[rows_with_token(items, key)] = True
     return hits
+
+
+def _items(part, rows: np.ndarray) -> np.ndarray:
+    """The items of a column's part at ``rows``, in that order, as an object array."""
+    return part[rows] if type(part) is np.ndarray else part._gather(rows)
 
 
 class _Joined:
@@ -112,9 +109,10 @@ class _Joined:
     def __len__(self) -> int:
         return len(self.first)
 
-    def _gather(self, rows: np.ndarray) -> tuple[str, ...]:
-        halves = (_lines_at(self.column, self.first[rows]), _lines_at(self.column, self.second[rows]))
-        return tuple(map(f" {self.sep} ".join, zip(*halves)))
+    def _gather(self, rows: np.ndarray) -> np.ndarray:
+        # object arrays add item by item: each line is its halves with the separator between
+        halves = self.column._gather(self.first[rows]), self.column._gather(self.second[rows])
+        return halves[0] + f" {self.sep} " + halves[1]
 
     def _fact(self, key) -> np.ndarray:
         # a joined line's tokens are its halves' tokens and the separator between them
@@ -130,11 +128,11 @@ class _Lines(SequenceABC):
     """A read-only column of a corpus (lines or origins) and the per-line facts known of it.
 
     Its items are those of ``parts`` one after another, taken through the
-    row map ``order`` when there is one. A part is a tuple, a _Joined over
-    a column, or another column; a loaded or translated column has one
-    tuple part. Other columns build their lines only when read: a slice or
-    an index builds those, and iterating builds one _WRITE_CHUNK_LINES
-    chunk at a time. A column equals a tuple or another column with the
+    row map ``order`` when there is one. A part is a 1-d object array (plain
+    items are converted once), a _Joined over a column, or another column.
+    Every read is a numpy index per part, so a slice or an index builds only
+    the lines read, and iterating one _WRITE_CHUNK_LINES chunk at a time. A
+    slice is a tuple; a column equals a tuple or another column with the
     same items.
 
     Each fact (token counts, which lines hold a token, origin codes) is
@@ -142,20 +140,16 @@ class _Lines(SequenceABC):
     it; ``facts`` gives those known from how the column was made.
     """
 
-    __slots__ = ("_parts", "_starts", "_order", "_tuple", "_facts")
+    __slots__ = ("_parts", "_starts", "_order", "_facts")
 
     def __init__(
         self, parts: Iterable[Sequence], order: Optional[np.ndarray] = None, facts: Optional[dict] = None
     ):
-        self._parts = tuple(parts)
-        self._starts = [0]  # the position of each part's first item, then the item count
-        for part in self._parts:
-            self._starts.append(self._starts[-1] + len(part))
+        self._parts = tuple(p if isinstance(p, (_Lines, _Joined)) else _array(p) for p in parts)
+        self._starts = [0, *accumulate(map(len, self._parts))]  # each part's first row, then the count
         if order is not None:
             order.flags.writeable = False
         self._order = order
-        plain = order is None and len(self._parts) == 1 and type(self._parts[0]) is tuple
-        self._tuple: Optional[tuple] = self._parts[0] if plain else None
         self._facts: dict = dict(facts or {})
         for fact in self._facts.values():
             fact.flags.writeable = False
@@ -164,10 +158,10 @@ class _Lines(SequenceABC):
         return self._starts[-1] if self._order is None else len(self._order)
 
     def __getitem__(self, i):
-        if self._tuple is not None:
-            return self._tuple[i]
+        if self._plain():  # one array index, or a view of the array for a slice
+            return tuple(self._parts[0][i]) if isinstance(i, slice) else self._parts[0][i]
         if isinstance(i, slice):
-            return self._gather(np.arange(*i.indices(len(self))))
+            return tuple(self._gather(np.arange(*i.indices(len(self)))))
         return self._gather(np.array([range(len(self))[i]]))[0]
 
     def __iter__(self) -> Iterator:
@@ -179,14 +173,11 @@ class _Lines(SequenceABC):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
-    def take(self, rows: np.ndarray, pick: Optional[Callable] = None) -> "_Lines":
-        """The column of the items at ``rows``, in that order, with the facts known of them.
-
-        ``pick`` is gatherer(rows), when one was built for several columns.
-        """
+    def take(self, rows: np.ndarray) -> "_Lines":
+        """The column of the items at ``rows``, in that order, with the facts known of them."""
         facts = {key: fact[rows] for key, fact in self._facts.items()}
-        if self._tuple is not None:  # a copy, so that the items not taken can be freed
-            return _Lines([(pick or gatherer(rows.tolist()))(self._tuple)], facts=facts)
+        if self._plain():  # a copy, so that the items not taken can be freed
+            return _Lines([self._parts[0][rows]], facts=facts)
         order = np.arange(len(self)) if self._order is None else self._order
         return _Lines(self._parts, order[rows], facts)
 
@@ -202,10 +193,14 @@ class _Lines(SequenceABC):
         """Each origin's position in Origin, int8, for a column of origins."""
         return self._fact(_CODES)
 
+    def _plain(self) -> bool:
+        """Whether the column is one array of its items, in order."""
+        return self._order is None and len(self._parts) == 1 and type(self._parts[0]) is np.ndarray
+
     def _fact(self, key) -> np.ndarray:
         fact = self._facts.get(key)
         if fact is None:
-            facts = [_plain_fact(p, key) if type(p) is tuple else p._fact(key) for p in self._parts]
+            facts = [_plain_fact(p, key) if type(p) is np.ndarray else p._fact(key) for p in self._parts]
             fact = facts[0] if len(facts) == 1 else np.concatenate(facts)
             if self._order is not None:
                 fact = fact[self._order]
@@ -213,24 +208,18 @@ class _Lines(SequenceABC):
             self._facts[key] = fact
         return fact
 
-    def _gather(self, rows: np.ndarray) -> tuple:
+    def _gather(self, rows: np.ndarray) -> np.ndarray:
+        """The items at ``rows``, in that order, as an object array."""
         if self._order is not None:
             rows = self._order[rows]
-        if len(self._parts) < 2:
-            return _lines_at(self._parts[0], rows) if len(rows) else ()
-        # gather each part's rows in one pass, then put them back in the asked order
+        if len(self._parts) == 1:
+            return _items(self._parts[0], rows)
         part_of = np.searchsorted(self._starts, rows, side="right") - 1
-        by_part = np.argsort(part_of, kind="stable")
-        bounds = np.searchsorted(part_of[by_part], range(len(self._parts) + 1)).tolist()
-        lines: list = []
+        items = np.empty(len(rows), object)
         for p, part in enumerate(self._parts):
-            if bounds[p] < bounds[p + 1]:
-                lines.extend(_lines_at(part, rows[by_part[bounds[p] : bounds[p + 1]]] - self._starts[p]))
-        if np.all(by_part[1:] > by_part[:-1]):
-            return tuple(lines)
-        inverse = np.empty_like(by_part)
-        inverse[by_part] = np.arange(len(by_part))
-        return _lines_at(lines, inverse)
+            at = part_of == p
+            items[at] = _items(part, rows[at] - self._starts[p])
+        return items
 
 
 def lang_code_problems(source_lang: str, target_lang: str) -> list[str]:
@@ -274,7 +263,7 @@ class SentencePair(NamedTuple):
 
 
 def _column(items: Iterable) -> _Lines:
-    return items if isinstance(items, _Lines) else _Lines([tuple(items)])
+    return items if isinstance(items, _Lines) else _Lines([items])
 
 
 class Corpus:
@@ -283,7 +272,7 @@ class Corpus:
     ``sources[i]``, ``targets[i]`` and ``origins[i]`` make up pair i;
     iterating or indexing yields SentencePair rows built on the fly. Each
     column is a read-only _Lines, which equals the tuple of its items: a
-    loaded or translated column holds a tuple, and a derived one (a
+    loaded or translated column holds an object array, and a derived one (a
     concatenation, a mix, a subset of either) builds its lines from its
     parent columns when they are read. A column also works out its token
     counts and which lines hold a token once, from its parts, so a derived
@@ -341,8 +330,7 @@ class Corpus:
     def take(self, rows: Sequence[int], name: str, meta: dict[str, str]) -> "Corpus":
         """The pairs at ``rows``, in that order, as a new corpus in the same languages."""
         index = np.asarray(rows, dtype=np.intp)
-        pick = gatherer(index.tolist())
-        columns = (column.take(index, pick) for column in (self.sources, self.targets, self.origins))
+        columns = (column.take(index) for column in (self.sources, self.targets, self.origins))
         return Corpus(*columns, name, self.source_lang, self.target_lang, meta)
 
     def column(self, side: Side) -> _Lines:
@@ -583,8 +571,7 @@ def sample(corpus: Corpus, n: int, seed: int) -> Corpus:
         raise ValidationError(f"sample: seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(size, size=n, replace=False))
-    meta = dict(corpus.meta)
-    meta.update({"sampled_n": str(n), "sample_seed": str(seed), "prng": PRNG_ID})
+    meta = {**corpus.meta, "sampled_n": str(n), "sample_seed": str(seed), "prng": PRNG_ID}
     return corpus.take(idx, f"{corpus.name}[sample:{n}]", meta)
 
 
@@ -609,16 +596,8 @@ def holdout_split(corpus: Corpus, train_n: int, test_n: int, seed: int) -> tuple
     test_idx = np.sort(perm[train_n : train_n + test_n])
 
     def part(indices: np.ndarray, tag: str) -> Corpus:
-        meta = dict(corpus.meta)
-        meta.update(
-            {
-                "split": tag,
-                "split_seed": str(seed),
-                "split_train_n": str(train_n),
-                "split_test_n": str(test_n),
-                "prng": PRNG_ID,
-            }
-        )
+        meta = {**corpus.meta, "split": tag, "split_seed": str(seed)}
+        meta.update(split_train_n=str(train_n), split_test_n=str(test_n), prng=PRNG_ID)
         return corpus.take(indices, f"{corpus.name}[{tag}]", meta)
 
     return part(train_idx, "train"), part(test_idx, "heldout")

@@ -4,7 +4,7 @@ BLEU scoring spreads its shards over the CPUs this way, and ``run`` decodes
 and scores the test set in a child while it builds the training mix.
 
 A child is stopped with SIGTERM, which a handler it sets right after the
-fork turns into a ``Stopped`` exception. So a child stops the way an
+fork turns into an ``Ended`` exception. So a child stops the way an
 interrupted process does: ``translate_file`` kills the translator's process
 group, and a child's own children (BLEU shards) are stopped and reaped in
 turn. Where the platform cannot fork, the calls run one after the other in
@@ -29,12 +29,17 @@ ENDING_SIGNALS = tuple(getattr(signal, name) for name in ("SIGTERM", "SIGHUP") i
 _STOP_SIGNALS = {signal.SIGINT, *ENDING_SIGNALS}  # every signal that may raise in this process
 
 
-class Stopped(BaseException):
-    """Raised in a forked child that its parent stops; not an Exception, so nothing absorbs it."""
+class Ended(BaseException):
+    """An ending signal turned into an exception; ``args[0]`` is the signal number.
+
+    A forked child raises it on SIGTERM, and ``run`` on SIGTERM and SIGHUP,
+    so one sent to a child comes back to the parent as the same exception.
+    Not an Exception, so nothing absorbs it.
+    """
 
 
-def _stop(signum, frame) -> None:
-    raise Stopped(f"stopped by its parent (signal {signum})")
+def raise_ended(signum, frame) -> None:
+    raise Ended(signum)
 
 
 def _send_and_exit(func: Callable, arg, write_fd: int, mask) -> None:
@@ -46,7 +51,7 @@ def _send_and_exit(func: Callable, arg, write_fd: int, mask) -> None:
     """
     code = 1
     try:
-        signal.signal(signal.SIGTERM, _stop)
+        signal.signal(signal.SIGTERM, raise_ended)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         try:
             payload = (True, func(arg))

@@ -36,6 +36,9 @@ from .translate import Direction, TranslatorSpec, back_translate, self_train
 PathLike = Union[str, Path]
 
 RECIPES = ("vanilla", "vanilla+concat", "vanilla+st", "vanilla+bt", "vanilla+bt+concat")
+# the translator a recipe needs for its pseudo pairs; the other recipes need none
+_TRANSLATOR = {"vanilla+st": Direction.FORWARD, "vanilla+bt": Direction.BACKWARD,
+               "vanilla+bt+concat": Direction.BACKWARD}
 
 
 class MixRecipe(NamedTuple):
@@ -92,17 +95,14 @@ def build_mix(
     components: list[Corpus] = [original]
 
     pseudo: Optional[Corpus] = None
-    if recipe.name in ("vanilla+bt", "vanilla+bt+concat"):
-        backward = translators.get(Direction.BACKWARD)
-        if backward is None:
-            raise ValidationError(f"recipe {recipe.name!r} requires a backward translator")
-        pseudo = back_translate(original, backward, workdir=workdir)
+    needed = _TRANSLATOR.get(recipe.name)
+    if needed is not None:
+        spec = translators.get(needed)
+        if spec is None:
+            raise ValidationError(f"recipe {recipe.name!r} requires a {needed.value} translator")
+        pseudo_pairs = back_translate if needed is Direction.BACKWARD else self_train
+        pseudo = pseudo_pairs(original, spec, workdir=workdir)
         components.append(pseudo)
-    elif recipe.name == "vanilla+st":
-        forward = translators.get(Direction.FORWARD)
-        if forward is None:
-            raise ValidationError(f"recipe {recipe.name!r} requires a forward translator")
-        components.append(self_train(original, forward, workdir=workdir))
 
     # concat's draw and rejection counters, per pool, for the manifest
     concat_counters: dict[str, str] = {}
@@ -183,9 +183,7 @@ def mix_manifest(corpus: Corpus, sep_token: str = "<sep>") -> MixManifest:
     )
 
 
-def write_mix(
-    corpus: Corpus, out_dir: PathLike, sep_token: str = "<sep>", prefix: str = "train"
-) -> Path:
+def write_mix(corpus: Corpus, out_dir: PathLike, sep_token: str = "<sep>") -> Path:
     """Write a mix as parallel files plus a key=value manifest.
 
     The manifest records per-origin counts, mean lengths, seeds and
@@ -194,9 +192,9 @@ def write_mix(
     into different directories stay byte-identical.
     """
     out_dir = Path(out_dir)
-    src_path = out_dir / f"{prefix}.{corpus.source_lang}"
-    tgt_path = out_dir / f"{prefix}.{corpus.target_lang}"
-    manifest_path = out_dir / f"{prefix}.manifest"
+    src_path = out_dir / f"train.{corpus.source_lang}"
+    tgt_path = out_dir / f"train.{corpus.target_lang}"
+    manifest_path = out_dir / "train.manifest"
     if len({src_path, tgt_path, manifest_path}) < 3:
         raise ValidationError(
             f"language codes {corpus.source_lang!r} and {corpus.target_lang!r} would make "

@@ -37,9 +37,9 @@ from .corpus import (
     write_sidecar,
 )
 from .errors import PipelineError, ValidationError
-from .forked import _STOP_SIGNALS, ENDING_SIGNALS, map_forked
+from .forked import _STOP_SIGNALS, ENDING_SIGNALS, Ended, map_forked, raise_ended
 from .metrics import BleuReport, average_runs, bucketed_bleu_runs, report_to_csv
-from .mix import RECIPES, MixRecipe, build_mix, write_mix
+from .mix import _TRANSLATOR, RECIPES, MixRecipe, build_mix, write_mix
 from .report import render_bucket_table, render_diff_chart
 from .translate import Direction, TranslatorSpec, translate_file
 
@@ -172,7 +172,7 @@ class PipelineConfig:
 _Columns = tuple[Optional[list[str]], Optional[list[str]]]
 
 
-def _check_inputs(config: PipelineConfig, check_test: bool) -> tuple[list[str], dict[str, _Columns]]:
+def _check_inputs(config: PipelineConfig) -> tuple[list[str], dict[str, _Columns]]:
     """cmd_validate's violations, plus the "train" and "test" columns it read."""
     violations: list[str] = []
     columns: dict[str, _Columns] = {}
@@ -190,7 +190,7 @@ def _check_inputs(config: PipelineConfig, check_test: bool) -> tuple[list[str], 
                 )
             if config.base_size == 0 and n_train < 2:
                 violations.append(f"config: training corpus has only {n_train} pairs")
-    if check_test and (config.test_source or config.test_target):
+    if config.test_source or config.test_target:
         if not (config.test_source and config.test_target):
             violations.append("config: test_source and test_target must be given together")
         else:
@@ -208,11 +208,9 @@ def _check_inputs(config: PipelineConfig, check_test: bool) -> tuple[list[str], 
     violations += [f"config: {p}" for p in lang_code_problems(config.source_lang, config.target_lang)]
     if config.recipe not in RECIPES:
         violations.append(f"config: unknown recipe {config.recipe!r}")
-    needs_backward = config.recipe in ("vanilla+bt", "vanilla+bt+concat")
-    if needs_backward and not config.backward_cmd:
-        violations.append(f"config: recipe {config.recipe!r} requires backward_cmd")
-    if config.recipe == "vanilla+st" and not config.forward_cmd:
-        violations.append("config: recipe 'vanilla+st' requires forward_cmd")
+    needed = _TRANSLATOR.get(config.recipe)
+    if needed is not None and needed not in config.translators():
+        violations.append(f"config: recipe {config.recipe!r} requires {needed.value}_cmd")
     for label, template in (("forward_cmd", config.forward_cmd), ("backward_cmd", config.backward_cmd)):
         if template:
             try:
@@ -230,12 +228,12 @@ def _check_inputs(config: PipelineConfig, check_test: bool) -> tuple[list[str], 
     return violations, columns
 
 
-def cmd_validate(config: PipelineConfig, check_test: bool = True) -> list[str]:
+def cmd_validate(config: PipelineConfig) -> list[str]:
     """Check files, token constraints, and translator templates.
 
     Returns the violation list; empty means clean.
     """
-    return _check_inputs(config, check_test)[0]
+    return _check_inputs(config)[0]
 
 
 def _input_corpus(config: PipelineConfig, name: str, columns: _Columns) -> Corpus:
@@ -246,7 +244,7 @@ def _input_corpus(config: PipelineConfig, name: str, columns: _Columns) -> Corpu
     """
     n = len(columns[0])
     none_hold = {config.sep_token: np.zeros(n, bool)}
-    sources, targets = (_Lines([tuple(lines)], facts=none_hold) for lines in columns)
+    sources, targets = (_Lines([lines], facts=none_hold) for lines in columns)
     return Corpus(sources, targets, (Origin.ORIGINAL,) * n, name, config.source_lang, config.target_lang)
 
 
@@ -348,14 +346,6 @@ def _decode_and_score(config: PipelineConfig, test: Corpus, runs_dir: Path) -> l
         raise _InStage(stage, exc) from None
 
 
-class _Ended(BaseException):
-    """An ending signal (SIGTERM, SIGHUP) that arrived while run was running."""
-
-
-def _raise_ended(signum, frame) -> None:
-    raise _Ended(signum)
-
-
 def cmd_run(config: PipelineConfig) -> dict[str, Path]:
     """Run the full pipeline; returns a map of output names to paths.
 
@@ -372,7 +362,8 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
     timeout or a closed terminal stops it the way an interrupt does: the
     translators and the forked test side are stopped and reaped, the
     staging directory is quarantined under the running stage, and the lock
-    is released. The process then ends by that signal.
+    is released. The process then ends by that signal. SIGTERM sent to the
+    forked test side ends the run the same way, quarantined under its stage.
     """
     ending = []  # signal handlers can only be set in the main thread
     if threading.current_thread() is threading.main_thread():
@@ -380,15 +371,15 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
     ended = None
     try:
         for signum in ending:
-            signal.signal(signum, _raise_ended)
+            signal.signal(signum, raise_ended)
         return _run(config)
-    except _Ended as exc:
+    except Ended as exc:
         ended = exc
         raise
     finally:
         for signum in ending:
             signal.signal(signum, signal.SIG_DFL)
-        if ended is not None:
+        if ended is not None and ended.args[0] in ending:
             os.kill(os.getpid(), ended.args[0])
 
 
@@ -409,7 +400,7 @@ def _run(config: PipelineConfig) -> dict[str, Path]:
         work.mkdir()
         stage = "validate"
         try:
-            violations, columns = _check_inputs(config, check_test=True)
+            violations, columns = _check_inputs(config)
             if violations:
                 raise ValidationError(
                     "validation failed:\n" + "\n".join(f"  {v}" for v in violations)

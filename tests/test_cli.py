@@ -900,6 +900,31 @@ class TestRunSides:
                     pass
             assert not left, f"processes {left} of the run were left running"
 
+    def test_sigterm_to_the_test_side_ends_the_run_by_that_signal(self, tmp_path, train_files, test_files):
+        # the decoder's shell records its parent, the forked test side, then sleeps
+        worker_file, pid_file = tmp_path / "worker.pid", tmp_path / "decoder.pid"
+        worker = shlex.quote(str(worker_file))
+        forward = f"echo $PPID > {worker}.tmp && mv {worker}.tmp {worker} && {self.sleeping_decoder(pid_file)}"
+        out = tmp_path / "worker"
+        args = self.run_args(tmp_path, train_files, test_files, "worker", forward, mock_cmd("identity"))
+        cli = [sys.executable, "-m", "bitextaug.cli", *args]
+        proc = subprocess.Popen(cli, stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 30
+            while not pid_file.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            os.kill(int(worker_file.read_text(encoding="ascii")), signal.SIGTERM)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == -signal.SIGTERM
+        assert "Traceback" not in err
+        self.assert_gone(pid_file)
+        assert [p.name for p in out.iterdir()] == ["quarantine"]  # no .work, no .lock
+        assert [q.name for q in (out / "quarantine").iterdir()] == ["0001-decode"]
+
     def test_without_fork_the_sides_run_in_turn_and_write_the_same_bytes(self, tmp_path, monkeypatch):
         monkeypatch.delattr(os, "fork")
         TestRunPinnedBytes().test_run_files_match_pinned_digests(tmp_path)

@@ -245,7 +245,7 @@ class TestWriteMix:
         scanned = []
 
         def counting(lines, token):
-            scanned.append(lines)
+            scanned.append(tuple(lines))
             return rows_with_token(lines, token)
 
         for name, module in list(sys.modules.items()):

@@ -27,7 +27,6 @@ from bitextaug.corpus import (
     Side,
     _Joined,
     _Lines,
-    gatherer,
     holdout_split,
     load_parallel,
     read_sidecar,
@@ -357,7 +356,7 @@ def test_facts_compose_without_building_lines(loaded, warm, shuffled, other, see
     # only loaded or translated lines were split, each column once per token
     plain = [loaded.sources, loaded.targets, part.sources, part.targets, pseudo.sources]
     for _, lines, _ in scans:
-        assert type(lines) is tuple and any(lines == column for column in plain)
+        assert type(lines) is np.ndarray and any(tuple(lines) == column for column in plain)
     assert max(Counter((name, id(lines), token) for name, lines, token in scans).values()) == 1
     expected = [
         (split_counts(lines), {token: split_rows(lines, token) for token in ("<sep>", other)})
@@ -442,14 +441,10 @@ def test_carried_manifest_equals_a_fresh_one(recipe_name, pool, shuffled, seed, 
 @example((5, []))
 @example((5, [3]))
 @example((5, [2, 2, 0, 2]))
-def test_take_and_gatherer_pick_every_row_in_order(case):
+def test_take_picks_every_row_in_order(case):
     n, rows = case
     corpus = numbered(n)
     corpus.token_counts(Side.SOURCE)
-    for column in (corpus.sources, list(corpus.targets), corpus.origins):
-        picked = gatherer(rows)(column)
-        assert type(picked) is tuple
-        assert picked == tuple(column[i] for i in rows)
     part = corpus.take(rows, "rows", {})
     assert rows_of(part) == rows
     assert part.targets == tuple(f"t{i}" for i in rows)
@@ -489,7 +484,7 @@ def line_parts(draw):
             first, second = draw(rows), draw(rows)
             parts.append(_Joined(_Lines([pool]), np.array(first, np.intp), np.array(second, np.intp), "<sep>"))
             # the construction concat used when it joined every line up front
-            eager.extend(map(" <sep> ".join, zip(gatherer(first)(pool), gatherer(second)(pool))))
+            eager.extend(" <sep> ".join((pool[a], pool[b])) for a, b in zip(first, second))
     return parts, tuple(eager)
 
 
