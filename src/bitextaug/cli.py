@@ -8,7 +8,10 @@ failure, 3 translator failure.
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
+import threading
 from pathlib import Path
 
 from . import __version__
@@ -26,6 +29,7 @@ from .corpus import (
     write_sidecar,
 )
 from .errors import ToolError, TranslatorError, ValidationError
+from .forked import Ended
 from .metrics import (
     bucketed_bleu,
     corpus_bleu,
@@ -371,6 +375,10 @@ def main(argv=None) -> int:
     except ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
+    except Ended as exc:  # a signal that ended a forked worker ends this process too, as in cmd_run
+        if threading.current_thread() is threading.main_thread() and signal.getsignal(exc.args[0]) == signal.SIG_DFL:
+            os.kill(os.getpid(), exc.args[0])
+        raise
 
 
 if __name__ == "__main__":

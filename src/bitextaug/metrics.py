@@ -14,14 +14,15 @@ brevity penalty 0.0 and all-zero precisions, the limit of the brevity
 penalty as the hypothesis length goes to 0; they do not raise.
 
 Scores are computed from additive sufficient statistics: per-order
-clipped-match and total n-gram counts plus the two corpus lengths. These
-are integers, so the counts of disjoint item sets sum exactly to the
-counts of their union. Scoring uses that to spread the counting over the
-CPUs this process may use: each bucket's items are dealt round-robin to
-W shards, one scored in this process and the others in forked children,
-and the shard counts are summed. W is the number of usable CPUs, lowered
-so that each shard gets at least SHARD_MIN_CHARS characters of hypothesis
-text, and 1 where the platform cannot fork. A score does not depend on W.
+clipped-match and total n-gram counts plus the two lengths, one integer
+row per item; a bucket's counts sum its items' rows and the overall
+counts sum the buckets'. These exact sums spread the counting over the
+CPUs this process may use: the scored items, sorted by bucket, are dealt
+round-robin to W shards, one scored here and the others in forked
+children; each shard sums its rows per bucket and the parent sums the
+shards. W is the number of usable CPUs, lowered so that each shard gets
+at least SHARD_MIN_CHARS characters of hypothesis text, and 1 where the
+platform cannot fork. A score does not depend on W.
 
 One kernel, ``_ngram_stats``, counts every n-gram order. It is
 item-major and scores K decoding runs of one test set together: each
@@ -44,7 +45,6 @@ import math
 import os
 from collections import _count_elements  # the counting loop of Counter.update, in C where built
 from itertools import repeat
-from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -90,27 +90,18 @@ class BleuDiff(NamedTuple):
     per_bucket: dict[str, Optional[float]]
 
 
-def _ngrams_of_lengths(lengths: Sequence[int], n_order: int) -> list[int]:
-    """Number of n-grams of each order 1..n_order in token lists of these lengths."""
-    histogram: dict[int, int] = {}
-    _count_elements(histogram, lengths)
-    out = [0] * n_order
-    for length, k in histogram.items():
-        for n in range(min(length, n_order)):
-            out[n] += k * (length - n)
-    return out
+def _ngram_stats(hyp_runs: Sequence[Sequence[str]], refs: Sequence[str], n_order: int) -> np.ndarray:
+    """Per-item clipped-match and n-gram counts, orders 1..n_order, of K runs.
 
-
-def _ngram_stats(hyp_runs: Sequence[Sequence[str]], refs: Sequence[str], n_order: int):
-    """Clipped-match and total n-gram counts, orders 1..n_order, of K runs.
-
-    hyp_runs holds K hypothesis lists, each aligned with refs. Returns one
-    (matched, total, hyp_len, ref_len) per run.
+    hyp_runs holds K hypothesis lists, each aligned with refs. Returns an
+    int64 array of shape (K, len(refs), 2 * n_order + 2). The row of run k
+    and item i holds the item's clipped matches per order, its hypothesis
+    n-grams per order, its hypothesis length and its reference length.
 
     Item-major: each reference is split once, and each distinct hypothesis
     line of an item is split and matched once, its result given to every
-    run that returned that line. The per-order totals come from a
-    histogram of hypothesis lengths. A pair takes one of three exact tiers.
+    run that returned that line. The hypothesis n-grams follow from the
+    hypothesis length. A pair takes one of three exact tiers.
 
     1. Equal pair: a hypothesis whose tokens equal its reference's matches
        every n-gram, so it is counted from its length.
@@ -135,26 +126,29 @@ def _ngram_stats(hyp_runs: Sequence[Sequence[str]], refs: Sequence[str], n_order
     from array import array
 
     n_runs = len(hyp_runs)
-    lengths: list[list[int]] = [[] for _ in range(n_runs)]
-    equal: list[list[int]] = [[] for _ in range(n_runs)]  # lengths of tier-1 hypotheses
-    matched = [[0] * n_order for _ in range(n_runs)]
+    columns = np.zeros((n_runs, 2 * n_order + 2, len(refs)), np.int64)  # the rows, transposed
+    matched = columns[:, :n_order]
+    lengths = [array("q") for _ in range(n_runs)]
+    equal: list[list[int]] = [[] for _ in range(n_runs)]  # items of tier-1 hypotheses
+    ref_lens = array("q")
     slots = [array("q") for _ in range(n_runs)]  # tier 2's flat buffers
-    free = 0  # the next unused reference slot of this block
+    start = free = 0  # the first item and the next unused reference slot of this block
 
-    def count_block() -> None:
+    def count_block(stop: int) -> None:
+        widths = np.frombuffer(ref_lens, np.int64)[start:stop] + 1  # each reference's slots and its spare one
+        firsts = np.cumsum(widths) - widths
         for k, buffer in enumerate(slots):
             if buffer:
-                matched[k] = list(map(add, matched[k], _slot_matches(buffer, free, n_order)))
+                matched[k, :, start:stop] += _slot_matches(buffer, firsts, free, n_order)
                 del buffer[:]
 
-    ref_len = 0
-    for ref, hyps in zip(refs, zip(*hyp_runs)):
+    for item, (ref, hyps) in enumerate(zip(refs, zip(*hyp_runs))):
         if free >= _BLOCK_SLOTS:
-            count_block()
-            free = 0
+            count_block(item)
+            start, free = item, 0
         rt = tokenize(ref)
         lr = len(rt)
-        ref_len += lr
+        ref_lens.append(lr)
         pos = dict(zip(rt, range(free, free + lr)))
         free += lr + 1
         if len(pos) < lr:
@@ -194,29 +188,30 @@ def _ngram_stats(hyp_runs: Sequence[Sequence[str]], refs: Sequence[str], n_order
             done.append((lh, tier, result))
             lengths[k].append(lh)
             if tier == 1:
-                equal[k].append(lh)
+                equal[k].append(item)
             elif tier == 2:
                 if first < k:
                     slots[k].extend(slots[first][result : result + lh])
             else:
-                matched[k] = list(map(add, matched[k], result))
-    count_block()
-    out = []
-    for k in range(n_runs):
-        run_matched = list(map(add, matched[k], _ngrams_of_lengths(equal[k], n_order)))
-        out.append((run_matched, _ngrams_of_lengths(lengths[k], n_order), sum(lengths[k]), ref_len))
-    return out
+                matched[k, :, item] = result
+    count_block(len(refs))
+    totals = columns[:, n_order:-2]
+    for k, items in enumerate(equal):
+        columns[k, -2], columns[k, -1] = lengths[k], ref_lens
+        np.maximum(columns[k, -2] - np.arange(n_order)[:, None], 0, out=totals[k])
+        matched[k][:, items] = totals[k][:, items]
+    return columns.transpose(0, 2, 1)
 
 
-def _slot_matches(buffer: "array.array", n_slots: int, n_order: int) -> list[int]:
-    """Tier 2's clipped matches per order: the distinct reference slots at which a matching n-gram starts.
+def _slot_matches(buffer: "array.array", firsts: np.ndarray, n_slots: int, n_order: int) -> np.ndarray:
+    """Tier 2's clipped matches per item and order: the distinct reference slots at which a matching n-gram starts.
 
     buffer holds each hypothesis token's reference slot, -1 when absent;
-    slots lie in 0..n_slots-1.
+    slots lie in 0..n_slots-1, and item j's run from firsts[j] and include
+    at least its spare one. Returns shape (n_order, items).
     """
     p = np.frombuffer(buffer, np.int64)
-    out = [0] * n_order
-    hit = np.zeros(n_slots, bool)
+    hit = np.zeros((n_order, n_slots), np.uint8)  # hit[n, slot]: a matching (n+1)-gram starts there
     starts = p >= 0  # starts[i]: the n-gram at i matches, for the current n
     follows = p[1:] == p[:-1] + 1  # follows[i]: token i + 1 takes the slot after token i's
     for n in range(n_order):
@@ -225,29 +220,8 @@ def _slot_matches(buffer: "array.array", n_slots: int, n_order: int) -> list[int
         found = p[: len(starts)][starts]
         if not len(found):
             break  # an absent n-gram implies absent higher orders
-        hit[found] = True
-        out[n] = int(np.count_nonzero(hit))
-        hit[found] = False
-    return out
-
-
-class _Counts(NamedTuple):
-    matched: list[int]
-    total: list[int]
-    hyp_len: int
-    ref_len: int
-    items: int
-
-
-def _summed(parts: Sequence[tuple], items: int) -> _Counts:
-    """Element-wise sum of (matched, total, hyp_len, ref_len, ...) counts."""
-    return _Counts(
-        [sum(col) for col in zip(*(p[0] for p in parts))],
-        [sum(col) for col in zip(*(p[1] for p in parts))],
-        sum(p[2] for p in parts),
-        sum(p[3] for p in parts),
-        items,
-    )
+        hit[n, found] = 1
+    return np.add.reduceat(hit, firsts, axis=1, dtype=np.int64)
 
 
 def _shard_count(chars: int) -> int:
@@ -261,39 +235,35 @@ def _shard_count(chars: int) -> int:
     return max(1, min(cpus, chars // SHARD_MIN_CHARS))
 
 
-def _bucket_counts(
-    buckets: Sequence[tuple[Sequence[Sequence[str]], Sequence[str]]], n_order: int
-) -> list[list[_Counts]]:
-    """Exact counts of each (hypothesis runs, references) bucket, per run, scored in W shards.
+def _bucket_sums(
+    hyp_runs: Sequence[Sequence[str]], refs: Sequence[str], bucket: np.ndarray, n_buckets: int, n_order: int
+) -> np.ndarray:
+    """The summed ``_ngram_stats`` rows of each run and bucket, shape (K, n_buckets, columns), scored in W shards.
 
-    Returns counts[k][b] for run k and bucket b. Shard s takes items s,
-    s + W, s + 2W, ... of every bucket, with each run's hypotheses for
-    those items, so long and short items spread evenly over the shards.
-    The shard counts are integers and sum to the counts of a single pass.
+    bucket[i] is item i's bucket; an item past the last bucket is neither
+    scored nor counted toward W. Shard s takes every W-th scored item in
+    bucket order from the s-th, so each bucket's long and short items
+    spread evenly over the shards. The sums equal those of a single pass.
     """
-    w = _shard_count(sum(sum(map(len, hyps)) for runs, _ in buckets for hyps in runs))
-    shards = [
-        [([hyps[s::w] for hyps in runs], refs[s::w]) for runs, refs in buckets] for s in range(w)
-    ]
-    per_shard = map_forked(
-        lambda shard: [_ngram_stats(runs, refs, n_order) for runs, refs in shard],
-        shards,
-        worker="BLEU shard worker",
-        result="counts",
-    )
-    n_runs = len(buckets[0][0])
-    return [
-        [
-            _summed([stats[b][k] for stats in per_shard], len(refs))
-            for b, (_, refs) in enumerate(buckets)
-        ]
-        for k in range(n_runs)
-    ]
+    order = np.argsort(bucket, kind="stable")[: np.count_nonzero(bucket < n_buckets)]
+    if not np.array_equal(order, np.arange(len(refs))):  # else the items are in place, and slices deal them
+        items = order.tolist()
+        hyp_runs = [list(map(hyps.__getitem__, items)) for hyps in hyp_runs]
+        refs = list(map(refs.__getitem__, items))
+    bucket = bucket[order]
+    w = _shard_count(sum(sum(map(len, hyps)) for hyps in hyp_runs))
+
+    def shard(s: int) -> np.ndarray:
+        rows = _ngram_stats([hyps[s::w] for hyps in hyp_runs], refs[s::w], n_order)
+        ends = np.searchsorted(bucket[s::w], range(1, n_buckets))  # where each bucket after the first starts
+        return np.stack([part.sum(axis=1) for part in np.split(rows, ends, axis=1)], axis=1)
+
+    return sum(map_forked(shard, range(w), worker="BLEU shard worker", result="counts"))
 
 
-def _combine(c: _Counts, n_order: int, smooth: bool) -> tuple[float, float, tuple[float, ...]]:
-    """(score, brevity penalty, per-order precisions) from summed counts."""
-    matched, total, hyp_len, ref_len, _ = c
+def _combine(row: Sequence[int], n_order: int, smooth: bool) -> tuple[float, float, tuple[float, ...]]:
+    """(score, brevity penalty, per-order precisions) from a summed row of counts."""
+    hyp_len, ref_len = row[-2:]
     if hyp_len == 0:  # empty output: the brevity penalty's limit is 0
         return 0.0, 0.0, (0.0,) * n_order
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
@@ -302,7 +272,7 @@ def _combine(c: _Counts, n_order: int, smooth: bool) -> tuple[float, float, tupl
     effective = 0
     zero_precision = False
     for n in range(n_order):
-        m, t = matched[n], total[n]
+        m, t = row[n], row[n_order + n]
         if smooth and n >= 1 and t > 0:  # add-one smoothing on higher orders only
             m, t = m + 1, t + 1
         if t == 0:
@@ -322,9 +292,9 @@ def _combine(c: _Counts, n_order: int, smooth: bool) -> tuple[float, float, tupl
     return score, bp, tuple(precisions)
 
 
-def _report(c: _Counts, n_order: int, smooth: bool, per_bucket: dict, excluded: int) -> BleuReport:
-    score, bp, precisions = _combine(c, n_order, smooth)
-    return BleuReport(score, per_bucket, n_order, bp, precisions, c.hyp_len, c.ref_len, excluded)
+def _report(row: Sequence[int], n_order: int, smooth: bool, per_bucket: dict, excluded: int) -> BleuReport:
+    score, bp, precisions = _combine(row, n_order, smooth)
+    return BleuReport(score, per_bucket, n_order, bp, precisions, row[-2], row[-1], excluded)
 
 
 def corpus_bleu(
@@ -347,8 +317,8 @@ def corpus_bleu(
         raise ValidationError("corpus_bleu: empty input")
     if n_order < 1:
         raise ValidationError(f"corpus_bleu: n_order must be >= 1, got {n_order}")
-    ((c,),) = _bucket_counts([((hypotheses,), references)], n_order)
-    return _report(c, n_order, smooth, {}, 0)
+    ((row,),) = _bucket_sums([hypotheses], references, np.zeros(len(hypotheses), np.intp), 1, n_order).tolist()
+    return _report(row, n_order, smooth, {}, 0)
 
 
 def bucketed_bleu(
@@ -402,25 +372,17 @@ def bucketed_bleu_runs(
         raise ValidationError("bucketed_bleu: sources must be non-empty sentences")
     idx = buckets.assign(src_lens)
     n_buckets = len(buckets.labels)
-    excluded = int((idx >= n_buckets).sum())
+    *sizes, excluded = np.bincount(idx, minlength=n_buckets + 1).tolist()
     if excluded == len(sources):
         raise ValidationError("bucketed_bleu: every item falls outside the bucket spec")
-    members = [np.flatnonzero(idx == b).tolist() for b in range(n_buckets)]
-    run_counts = _bucket_counts(
-        [
-            ([[hyps[i] for i in m] for hyps in hyp_runs], [references[i] for i in m])
-            for m in members
-        ],
-        n_order,
-    )
+    sums = _bucket_sums(hyp_runs, references, idx, n_buckets, n_order)
     reports = []
-    for counts in run_counts:
+    for run in sums:
         per_bucket = {
-            label: BucketScore(_combine(c, n_order, smooth)[0] if c.items else None, c.items)
-            for label, c in zip(buckets.labels, counts)
+            label: BucketScore(_combine(row, n_order, smooth)[0] if count else None, count)
+            for label, row, count in zip(buckets.labels, run.tolist(), sizes)
         }
-        covered = _summed(counts, sum(c.items for c in counts))
-        reports.append(_report(covered, n_order, smooth, per_bucket, excluded))
+        reports.append(_report(run.sum(axis=0).tolist(), n_order, smooth, per_bucket, excluded))
     return reports
 
 

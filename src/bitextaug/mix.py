@@ -35,10 +35,16 @@ from .translate import Direction, TranslatorSpec, back_translate, self_train
 
 PathLike = Union[str, Path]
 
-RECIPES = ("vanilla", "vanilla+concat", "vanilla+st", "vanilla+bt", "vanilla+bt+concat")
-# the translator a recipe needs for its pseudo pairs; the other recipes need none
-_TRANSLATOR = {"vanilla+st": Direction.FORWARD, "vanilla+bt": Direction.BACKWARD,
-               "vanilla+bt+concat": Direction.BACKWARD}
+# each recipe's parts: the translator of its pseudo pairs (None: no pseudo pairs),
+# and how many of its first components it concatenates, each into N concat pairs
+_RECIPE_PARTS: dict[str, tuple[Optional[Direction], int]] = {
+    "vanilla": (None, 0),
+    "vanilla+concat": (None, 1),
+    "vanilla+st": (Direction.FORWARD, 0),
+    "vanilla+bt": (Direction.BACKWARD, 0),
+    "vanilla+bt+concat": (Direction.BACKWARD, 2),
+}
+RECIPES = tuple(_RECIPE_PARTS)
 
 
 class MixRecipe(NamedTuple):
@@ -59,11 +65,8 @@ class MixRecipe(NamedTuple):
 
     @property
     def total_size(self) -> int:
-        if self.name == "vanilla":
-            return self.base_size
-        if self.name == "vanilla+bt+concat":
-            return 4 * self.base_size
-        return 2 * self.base_size
+        translator, pools = _RECIPE_PARTS[self.name]
+        return (1 + (translator is not None) + pools) * self.base_size
 
     @property
     def derived_shuffle_seed(self) -> int:
@@ -94,31 +97,25 @@ def build_mix(
     n = recipe.base_size
     components: list[Corpus] = [original]
 
-    pseudo: Optional[Corpus] = None
-    needed = _TRANSLATOR.get(recipe.name)
+    needed, pools = _RECIPE_PARTS[recipe.name]
     if needed is not None:
         spec = translators.get(needed)
         if spec is None:
             raise ValidationError(f"recipe {recipe.name!r} requires a {needed.value} translator")
         pseudo_pairs = back_translate if needed is Direction.BACKWARD else self_train
-        pseudo = pseudo_pairs(original, spec, workdir=workdir)
-        components.append(pseudo)
+        components.append(pseudo_pairs(original, spec, workdir=workdir))
 
     # concat's draw and rejection counters, per pool, for the manifest
     concat_counters: dict[str, str] = {}
-    if recipe.name in ("vanilla+concat", "vanilla+bt+concat"):
+    if pools:
         if augment is None:
             raise ValidationError(f"recipe {recipe.name!r} requires an augment config")
-        pools = [(Origin.ORIGINAL, original)]
-        if recipe.name == "vanilla+bt+concat":
-            assert pseudo is not None
-            pools.append((Origin.PSEUDO_BT, pseudo))
-        for seed_offset, (origin, pool) in enumerate(pools):
+        for seed_offset, pool in enumerate(components[:pools]):
             cfg = augment._replace(seed=recipe.seed + seed_offset, target_count=n)
             concat = concat_augment(pool, cfg)
             components.append(concat)
             for counter in ("draws", "rejected_short", "rejected_self"):
-                concat_counters[f"concat.{origin.value}.{counter}"] = concat.meta[counter]
+                concat_counters[f"concat.{pool.origins[0].value}.{counter}"] = concat.meta[counter]
 
     meta = {
         "recipe": recipe.name,
@@ -128,13 +125,8 @@ def build_mix(
         "shuffled": str(recipe.shuffle_output).lower(),
         "components": ",".join(c.name for c in components),
     }
-    if augment is not None and recipe.name.endswith("concat"):
-        meta.update(
-            {
-                "sep_token": augment.sep_token,
-                "min_concat_len": str(augment.min_concat_len),
-            }
-        )
+    if pools:
+        meta.update(sep_token=augment.sep_token, min_concat_len=str(augment.min_concat_len))
     meta.update(concat_counters)
     order = None
     if recipe.shuffle_output:

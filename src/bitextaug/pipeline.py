@@ -39,7 +39,7 @@ from .corpus import (
 from .errors import PipelineError, ValidationError
 from .forked import _STOP_SIGNALS, ENDING_SIGNALS, Ended, map_forked, raise_ended
 from .metrics import BleuReport, average_runs, bucketed_bleu_runs, report_to_csv
-from .mix import _TRANSLATOR, RECIPES, MixRecipe, build_mix, write_mix
+from .mix import _RECIPE_PARTS, RECIPES, MixRecipe, build_mix, write_mix
 from .report import render_bucket_table, render_diff_chart
 from .translate import Direction, TranslatorSpec, translate_file
 
@@ -208,7 +208,7 @@ def _check_inputs(config: PipelineConfig) -> tuple[list[str], dict[str, _Columns
     violations += [f"config: {p}" for p in lang_code_problems(config.source_lang, config.target_lang)]
     if config.recipe not in RECIPES:
         violations.append(f"config: unknown recipe {config.recipe!r}")
-    needed = _TRANSLATOR.get(config.recipe)
+    needed = _RECIPE_PARTS.get(config.recipe, (None, 0))[0]
     if needed is not None and needed not in config.translators():
         violations.append(f"config: recipe {config.recipe!r} requires {needed.value}_cmd")
     for label, template in (("forward_cmd", config.forward_cmd), ("backward_cmd", config.backward_cmd)):

@@ -351,6 +351,31 @@ class TestScoringCommands:
         assert f"{tmp_path / 'hyp.txt'}: invalid UTF-8" in err
         assert "Traceback" not in err
 
+    def test_sigterm_to_a_bleu_shard_worker_ends_bleu_by_that_signal(self, tmp_path):
+        # two shards; the forked one sends itself SIGTERM where it would count
+        script = (
+            "import os, signal, sys\n"
+            "from bitextaug import metrics\n"
+            "from bitextaug.cli import main\n"
+            "parent, count = os.getpid(), metrics._ngram_stats\n"
+            "def kernel(hyps, refs, n_order):\n"
+            "    if os.getpid() != parent:\n"
+            "        os.kill(os.getpid(), signal.SIGTERM)\n"
+            "    return count(hyps, refs, n_order)\n"
+            "metrics._ngram_stats = kernel\n"
+            "metrics.SHARD_MIN_CHARS = 1\n"
+            "metrics.os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("a b c d\ne f g\n" * 4, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "bleu", "--hyp", str(hyp), "--ref", str(hyp)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == -signal.SIGTERM, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bleu_bucketed_with_csv(self, tmp_path, capsys):
         (tmp_path / "hyp.txt").write_text("a b c d\ne f g\n", encoding="utf-8")
         (tmp_path / "ref.txt").write_text("a b c d\ne f x\n", encoding="utf-8")

@@ -21,6 +21,7 @@ from bitextaug.metrics import (
     Judgment,
     average_runs,
     bucketed_bleu,
+    bucketed_bleu_runs,
     corpus_bleu,
     diff_by_bucket,
     read_judgments,
@@ -48,12 +49,24 @@ def oracle_counts(hyps, refs, n_order):
     return matched, total, sum(len(h.split()) for h in hyps), sum(len(r.split()) for r in refs)
 
 
+def oracle_rows(hyp_runs, refs, n_order):
+    """The kernel's per-(run, item) rows as the oracle counts them: matches, n-grams, hypothesis and reference length."""
+    rows = []
+    for hyps in hyp_runs:
+        run = []
+        for hyp, ref in zip(hyps, refs):
+            matched, total, hyp_len, ref_len = oracle_counts([hyp], [ref], n_order)
+            run.append(matched + total + [hyp_len, ref_len])
+        rows.append(run)
+    return rows
+
+
 def assert_kernel_equals_oracle(hyps, refs, message=""):
-    """The kernel's counts for hyps and for an identical run equal the oracle's, orders 1-5."""
+    """The kernel's row of every item, for hyps and for an identical run, equals the oracle's, orders 1-5."""
     for n_order in range(1, 6):
         got = _ngram_stats([hyps, refs], refs, n_order)
-        want = [oracle_counts(hyps, refs, n_order), oracle_counts(refs, refs, n_order)]
-        assert got == want, f"{message} order {n_order}"
+        assert got.shape == (2, len(refs), 2 * n_order + 2)
+        assert got.tolist() == oracle_rows([hyps, refs], refs, n_order), f"{message} order {n_order}"
 
 
 def random_corpus(rng, n, vocab, min_len=1, max_len=18):
@@ -332,6 +345,9 @@ class TestBucketedBleu:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="equal lengths"):
             bucketed_bleu(["a"], ["a"], ["s", "s"], STANDARD_BUCKETS)
+
+    def test_no_runs_give_no_reports(self):
+        assert bucketed_bleu_runs([], ["a b"], ["s t"], STANDARD_BUCKETS) == []
 
 
 class TestShardWorkers:
