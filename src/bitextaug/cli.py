@@ -8,10 +8,7 @@ failure, 3 translator failure.
 from __future__ import annotations
 
 import argparse
-import os
-import signal
 import sys
-import threading
 from pathlib import Path
 
 from . import __version__
@@ -29,7 +26,7 @@ from .corpus import (
     write_sidecar,
 )
 from .errors import ToolError, TranslatorError, ValidationError
-from .forked import Ended
+from .forked import ending_signals
 from .metrics import (
     bucketed_bleu,
     corpus_bleu,
@@ -364,21 +361,18 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return _HANDLERS[args.command](args)
-    except TranslatorError as exc:
-        print(f"translator error: {exc}", file=sys.stderr)
-        return EXIT_TRANSLATOR
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ToolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PIPELINE
-    except Ended as exc:  # a signal that ended a forked worker ends this process too, as in cmd_run
-        if threading.current_thread() is threading.main_thread() and signal.getsignal(exc.args[0]) == signal.SIG_DFL:
-            os.kill(os.getpid(), exc.args[0])
-        raise
+    with ending_signals():
+        try:
+            return _HANDLERS[args.command](args)
+        except TranslatorError as exc:
+            print(f"translator error: {exc}", file=sys.stderr)
+            return EXIT_TRANSLATOR
+        except ValidationError as exc:
+            print(f"validation error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except ToolError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PIPELINE
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
-"""One call per argument, the first in this process and the others in forked children.
+"""How a process ends, and one call per argument, the later ones in forked children.
 
-BLEU scoring spreads its shards over the CPUs this way, and ``run`` decodes
-and scores the test set in a child while it builds the training mix.
+Within ``ending_signals()``, SIGTERM and SIGHUP raise ``Ended``, and the
+process ends by that signal once the exception has left the block. Every
+command runs in one, so a scheduler's timeout or a closed terminal stops
+it the way an interrupt does: translators are killed, temporary
+directories removed, and forked children stopped and reaped.
 
-A child is stopped with SIGTERM, which a handler it sets right after the
-fork turns into an ``Ended`` exception. So a child stops the way an
-interrupted process does: ``translate_file`` kills the translator's process
-group, and a child's own children (BLEU shards) are stopped and reaped in
-turn. Where the platform cannot fork, the calls run one after the other in
-this process.
+``map_forked`` spreads BLEU shards over the CPUs and runs ``run``'s test
+side next to its train side. A child turns SIGTERM into ``Ended`` itself,
+so it stops the way its parent does. Without ``os.fork`` the calls run in turn.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ import io
 import os
 import pickle
 import signal
+import threading
 from typing import Callable, Sequence
 
 from .errors import PipelineError
 
 
-# the signals that end a process by default and that run turns into an
-# exception while it runs (SIGHUP exists on POSIX only)
+# the signals that end a process by default, which ending_signals takes over (SIGHUP is POSIX only)
 ENDING_SIGNALS = tuple(getattr(signal, name) for name in ("SIGTERM", "SIGHUP") if hasattr(signal, name))
 _STOP_SIGNALS = {signal.SIGINT, *ENDING_SIGNALS}  # every signal that may raise in this process
 
@@ -32,14 +32,48 @@ _STOP_SIGNALS = {signal.SIGINT, *ENDING_SIGNALS}  # every signal that may raise 
 class Ended(BaseException):
     """An ending signal turned into an exception; ``args[0]`` is the signal number.
 
-    A forked child raises it on SIGTERM, and ``run`` on SIGTERM and SIGHUP,
-    so one sent to a child comes back to the parent as the same exception.
-    Not an Exception, so nothing absorbs it.
+    One raised in a forked child is raised again in the parent. Not an
+    Exception, so nothing absorbs it.
     """
 
 
-def raise_ended(signum, frame) -> None:
+def _raise_ended(signum, frame) -> None:
     raise Ended(signum)
+
+
+@contextlib.contextmanager
+def ending_signals():
+    """Within the block, each ending signal whose handler is the default raises Ended.
+
+    Only in the main thread; a nested block takes over nothing. On leaving,
+    the default handlers are back, and an Ended for a signal taken over
+    ends the process by that signal; any other Ended propagates.
+    """
+    main = threading.current_thread() is threading.main_thread()  # the only thread that sets handlers
+    taken = [s for s in ENDING_SIGNALS if main and signal.getsignal(s) == signal.SIG_DFL]
+    ended = None
+    try:
+        for signum in taken:
+            signal.signal(signum, _raise_ended)
+        yield
+    except Ended as exc:
+        ended = exc.args[0]
+        raise
+    finally:
+        for signum in taken:
+            signal.signal(signum, signal.SIG_DFL)
+        if ended in taken:
+            os.kill(os.getpid(), ended)
+
+
+@contextlib.contextmanager
+def held_signals():
+    """SIGINT and the ending signals wait until the block ends; yields the mask to restore."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+    try:
+        yield mask
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _send_and_exit(func: Callable, arg, write_fd: int, mask) -> None:
@@ -51,7 +85,7 @@ def _send_and_exit(func: Callable, arg, write_fd: int, mask) -> None:
     """
     code = 1
     try:
-        signal.signal(signal.SIGTERM, raise_ended)
+        signal.signal(signal.SIGTERM, _raise_ended)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         try:
             payload = (True, func(arg))
@@ -81,19 +115,17 @@ def map_forked(func: Callable, args: Sequence, worker: str = "worker", result: s
         for arg in args[1:]:
             read_fd, write_fd = os.pipe()
             pipe = open(read_fd, "rb")
-            # blocked until the child is on the list of children to stop
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _send_and_exit(func, arg, write_fd, mask)
-                children.append((pid, pipe))
-            except BaseException:
-                pipe.close()
-                raise
-            finally:
-                os.close(write_fd)  # EOF comes when the child exits only if no later child holds it
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            with held_signals() as mask:  # until the child is on the list of children to stop
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _send_and_exit(func, arg, write_fd, mask)
+                    children.append((pid, pipe))
+                except BaseException:
+                    pipe.close()
+                    raise
+                finally:
+                    os.close(write_fd)  # EOF comes when the child exits only if no later child holds it
         results = [func(args[0])]
         while children:
             pid, pipe = children[0]

@@ -249,7 +249,7 @@ def _bucket_sums(
     if not np.array_equal(order, np.arange(len(refs))):  # else the items are in place, and slices deal them
         items = order.tolist()
         hyp_runs = [list(map(hyps.__getitem__, items)) for hyps in hyp_runs]
-        refs = list(map(refs.__getitem__, items))
+        refs = list(map(list(refs).__getitem__, items))  # a column is read in one pass, not item by item
     bucket = bucket[order]
     w = _shard_count(sum(sum(map(len, hyps)) for hyps in hyp_runs))
 

@@ -15,8 +15,6 @@ import dataclasses
 import os
 import re
 import shutil
-import signal
-import threading
 from pathlib import Path
 from typing import Optional, Union
 
@@ -37,7 +35,7 @@ from .corpus import (
     write_sidecar,
 )
 from .errors import PipelineError, ValidationError
-from .forked import _STOP_SIGNALS, ENDING_SIGNALS, Ended, map_forked, raise_ended
+from .forked import ending_signals, held_signals, map_forked
 from .metrics import BleuReport, average_runs, bucketed_bleu_runs, report_to_csv
 from .mix import _RECIPE_PARTS, RECIPES, MixRecipe, build_mix, write_mix
 from .report import render_bucket_table, render_diff_chart
@@ -249,51 +247,38 @@ def _input_corpus(config: PipelineConfig, name: str, columns: _Columns) -> Corpu
 
 
 class _Lock:
-    """One pipeline per output directory.
+    """One pipeline per output directory: an exclusive, non-blocking flock on out_dir/.lock.
 
-    The lock file holds the owner's PID. A lock whose owner no longer
-    exists (a killed run) is broken once; a live owner, an owner of
-    another user, or unreadable content keeps the directory locked.
+    Forked workers inherit the descriptor, so the lock is held until the
+    last process of the run ends, however it ends. A .lock file that no
+    process holds is a harmless leftover of a killed run.
     """
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".lock"
         self.fd: Optional[int] = None
 
-    def _owner_is_dead(self) -> bool:
-        try:
-            pid = int(self.path.read_text(encoding="ascii"))
-        except (OSError, ValueError):
-            return False
-        if pid <= 0:  # 0 and negative PIDs name process groups, not one process
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except PermissionError:  # alive, run by another user
-            pass
-        return False
-
     def __enter__(self):
-        for attempt in (1, 2):
+        import fcntl  # POSIX only, and only run takes the lock
+        while self.fd is None:
+            fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
             try:
-                self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if attempt == 2 or not self._owner_is_dead():
-                    raise PipelineError(
-                        f"output directory is locked by another run ({self.path}); "
-                        "remove the lock file if that run is dead"
-                    ) from None
-                self.path.unlink(missing_ok=True)
-        os.write(self.fd, str(os.getpid()).encode())
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                # an owner unlinks the file on its way out, maybe after this opened it
+                if os.path.samestat(os.fstat(fd), os.stat(self.path)):
+                    self.fd = fd
+            except BlockingIOError:
+                raise PipelineError(f"output directory is locked by another run ({self.path})") from None
+            except FileNotFoundError:
+                pass
+            finally:
+                if self.fd != fd:
+                    os.close(fd)
         return self
 
     def __exit__(self, *exc_info):
-        if self.fd is not None:
-            os.close(self.fd)
-            self.path.unlink(missing_ok=True)
+        self.path.unlink(missing_ok=True)
+        os.close(self.fd)
 
 
 def _quarantine(out_dir: Path, work: Path, stage: str) -> Path:
@@ -346,6 +331,7 @@ def _decode_and_score(config: PipelineConfig, test: Corpus, runs_dir: Path) -> l
         raise _InStage(stage, exc) from None
 
 
+@ending_signals()
 def cmd_run(config: PipelineConfig) -> dict[str, Path]:
     """Run the full pipeline; returns a map of output names to paths.
 
@@ -355,7 +341,7 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
     failure the staging directory moves to quarantine/<NNNN>-<stage> and
     the error is re-raised; when both sides fail, the train side's error
     and stage win. Prior successful outputs are never touched by
-    quarantining.
+    quarantining. Every process of the run holds out_dir's lock.
 
     SIGTERM and SIGHUP, where they would end the process at once, are
     turned into an exception while the run runs, so a job scheduler's
@@ -365,25 +351,6 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
     is released. The process then ends by that signal. SIGTERM sent to the
     forked test side ends the run the same way, quarantined under its stage.
     """
-    ending = []  # signal handlers can only be set in the main thread
-    if threading.current_thread() is threading.main_thread():
-        ending = [s for s in ENDING_SIGNALS if signal.getsignal(s) == signal.SIG_DFL]
-    ended = None
-    try:
-        for signum in ending:
-            signal.signal(signum, raise_ended)
-        return _run(config)
-    except Ended as exc:
-        ended = exc
-        raise
-    finally:
-        for signum in ending:
-            signal.signal(signum, signal.SIG_DFL)
-        if ended is not None and ended.args[0] in ending:
-            os.kill(os.getpid(), ended.args[0])
-
-
-def _run(config: PipelineConfig) -> dict[str, Path]:
     if not config.out_dir:
         raise ValidationError("config: out_dir is required")
     if not (config.test_source and config.test_target):
@@ -484,8 +451,7 @@ def _run(config: PipelineConfig) -> dict[str, Path]:
         # success: promote staged outputs, replacing prior successful ones; an
         # interrupt or an ending signal waits until all of them are in place
         outputs: dict[str, Path] = {}
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
-        try:
+        with held_signals():
             for child in sorted(work.iterdir()):
                 dest = out_dir / child.name
                 if dest.is_dir():
@@ -495,6 +461,4 @@ def _run(config: PipelineConfig) -> dict[str, Path]:
                 child.rename(dest)
                 outputs[child.name] = dest
             work.rmdir()
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     return outputs

@@ -1,3 +1,4 @@
+import fcntl
 import hashlib
 import os
 import random
@@ -224,6 +225,31 @@ class TestDataCommands:
         )
         assert code == 3
 
+    def test_sigterm_to_bt_stops_its_translator_and_ends_bt_by_that_signal(self, train_files, tmp_path):
+        src, tgt = train_files
+        pid_file, tmp = tmp_path / "translator.pid", tmp_path / "tmp"
+        tmp.mkdir()
+        args = ["bt", "--source", str(src), "--target", str(tgt),
+                "--backward-cmd", TestRunSides.sleeping_decoder(pid_file), "--out-prefix", str(tmp_path / "bt")]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bitextaug.cli", *args],
+            stderr=subprocess.PIPE, text=True, env={**os.environ, "TMPDIR": str(tmp)},
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not pid_file.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == -signal.SIGTERM, err
+        assert "Traceback" not in err
+        TestRunSides.assert_gone(pid_file)
+        assert not list(tmp.glob("bitextaug-*"))  # the translator's input and output are removed
+
     @pytest.mark.parametrize("command,flag", [("bt", "--backward-cmd"), ("st", "--forward-cmd")])
     @pytest.mark.parametrize("timeout", ["nan", "inf", "1e7"])
     def test_timeout_that_the_translator_wait_cannot_take_is_a_validation_error(
@@ -375,6 +401,45 @@ class TestScoringCommands:
         )
         assert proc.returncode == -signal.SIGTERM, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_sigterm_to_bleu_stops_its_shard_worker_and_ends_bleu_by_that_signal(self, tmp_path):
+        # two shards that sleep where they would count; the forked one records its pid first
+        script = (
+            "import os, sys, time\n"
+            "from bitextaug import metrics\n"
+            "from bitextaug.cli import main\n"
+            "parent, worker, count = os.getpid(), sys.argv.pop(1), metrics._ngram_stats\n"
+            "def kernel(hyps, refs, n_order):\n"
+            "    if os.getpid() != parent:\n"
+            "        with open(worker + '.tmp', 'w') as f:\n"
+            "            f.write(str(os.getpid()))\n"
+            "        os.rename(worker + '.tmp', worker)\n"
+            "    time.sleep(60)\n"
+            "    return count(hyps, refs, n_order)\n"
+            "metrics._ngram_stats = kernel\n"
+            "metrics.SHARD_MIN_CHARS = 1\n"
+            "metrics.os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        hyp, worker = tmp_path / "hyp.txt", tmp_path / "worker.pid"
+        hyp.write_text("a b c d\ne f g\n" * 4, encoding="utf-8")
+        cli = [sys.executable, "-c", script, str(worker), "bleu", "--hyp", str(hyp), "--ref", str(hyp)]
+        with open(tmp_path / "stderr.txt", "w") as stderr:  # not a pipe, which a worker left running holds open
+            proc = subprocess.Popen(cli, stderr=stderr)
+        try:
+            deadline = time.monotonic() + 30
+            while not worker.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        err = (tmp_path / "stderr.txt").read_text(encoding="utf-8")
+        assert proc.returncode == -signal.SIGTERM, err
+        assert "Traceback" not in err
+        TestRunSides.assert_gone(worker)
 
     def test_bleu_bucketed_with_csv(self, tmp_path, capsys):
         (tmp_path / "hyp.txt").write_text("a b c d\ne f g\n", encoding="utf-8")
@@ -679,10 +744,12 @@ class TestRun:
     def test_lock_blocks_concurrent_runs(self, tmp_path, train_files, test_files, capsys):
         out_dir = tmp_path / "locked"
         out_dir.mkdir()
-        (out_dir / ".lock").write_text(str(os.getpid()), encoding="utf-8")  # a live owner
-        code = main(self.run_args(tmp_path, train_files, test_files, "locked", recipe="vanilla"))
+        with open(out_dir / ".lock", "w") as owner:  # a live owner holds the lock
+            fcntl.flock(owner, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            code = main(self.run_args(tmp_path, train_files, test_files, "locked", recipe="vanilla"))
         assert code == 2
         assert "locked by another run" in capsys.readouterr().err
+        assert not (out_dir / ".work").exists()
 
     def test_lock_of_dead_run_is_broken(self, tmp_path, train_files, test_files, capsys):
         child = subprocess.Popen([sys.executable, "-c", "pass"])
@@ -697,13 +764,13 @@ class TestRun:
         assert [q.name for q in (out_dir / "quarantine").iterdir()] == ["0001-stale"]
         assert (out_dir / "report" / "averaged.csv").is_file()
 
-    def test_unparsable_lock_still_blocks(self, tmp_path, train_files, test_files, capsys):
-        out_dir = tmp_path / "garbled"
+    def test_leftover_lock_file_is_taken_over(self, tmp_path, train_files, test_files, capsys):
+        out_dir = tmp_path / "leftover"
         out_dir.mkdir()
-        (out_dir / ".lock").write_text("not a pid", encoding="utf-8")
-        code = main(self.run_args(tmp_path, train_files, test_files, "garbled", recipe="vanilla"))
-        assert code == 2
-        assert "locked by another run" in capsys.readouterr().err
+        (out_dir / ".lock").write_text("not a pid", encoding="utf-8")  # no process holds it
+        code = main(self.run_args(tmp_path, train_files, test_files, "leftover", recipe="vanilla"))
+        assert code == 0
+        assert not (out_dir / ".lock").exists()
 
     def test_config_with_byte_order_mark_loads(self, tmp_path):
         config = tmp_path / "bom.cfg"
@@ -819,6 +886,7 @@ class TestRunSides:
 
     @staticmethod
     def assert_gone(pid_file):
+        """The process whose pid is in pid_file ends within 10 s; a zombie has ended."""
         pid = int(pid_file.read_text(encoding="ascii"))
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline:
@@ -826,9 +894,14 @@ class TestRunSides:
                 os.kill(pid, 0)
             except ProcessLookupError:
                 return
+            try:  # a killed process that no one reaps stays a zombie (state Z)
+                if Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z":
+                    return
+            except FileNotFoundError:  # it ended meanwhile, or there is no /proc
+                pass
             time.sleep(0.05)
         os.kill(pid, signal.SIGKILL)
-        pytest.fail(f"decoder {pid} was left running")
+        pytest.fail(f"process {pid} was left running")
 
     def test_failing_mix_stops_the_decoder(self, tmp_path, train_files, test_files, capsys, forks):
         pid_file = tmp_path / "decoder.pid"
@@ -949,6 +1022,35 @@ class TestRunSides:
         self.assert_gone(pid_file)
         assert [p.name for p in out.iterdir()] == ["quarantine"]  # no .work, no .lock
         assert [q.name for q in (out / "quarantine").iterdir()] == ["0001-decode"]
+
+    def test_a_killed_run_keeps_its_directory_locked_while_its_test_side_lives(
+        self, tmp_path, train_files, test_files, capsys
+    ):
+        # the decoder's shell records its parent, the forked test side, then waits for release
+        worker_file, release = tmp_path / "worker.pid", tmp_path / "release"
+        worker = shlex.quote(str(worker_file))
+        forward = f"echo $PPID > {worker}.tmp && mv {worker}.tmp {worker}; {self.wait_for(release)}; cp {{IN}} {{OUT}}"
+        out = tmp_path / "killed"
+        first = self.run_args(tmp_path, train_files, test_files, "killed", forward, mock_cmd("identity"))
+        again = self.run_args(tmp_path, train_files, test_files, "killed", mock_cmd("identity"), mock_cmd("identity"))
+        proc = subprocess.Popen([sys.executable, "-m", "bitextaug.cli", *first])
+        try:
+            manifest = out / ".work" / "mix" / "train.manifest"
+            deadline = time.monotonic() + 30
+            while not (worker_file.exists() and manifest.exists()) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            proc.kill()  # the test side lives on, decoding into out/.work
+            proc.wait(timeout=30)
+            assert main(again) == 2
+            assert "output directory is locked by another run" in capsys.readouterr().err
+        finally:
+            release.touch()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        self.assert_gone(worker_file)
+        assert main(again) == 0
+        assert [q.name for q in (out / "quarantine").iterdir()] == ["0001-stale"]
 
     def test_without_fork_the_sides_run_in_turn_and_write_the_same_bytes(self, tmp_path, monkeypatch):
         monkeypatch.delattr(os, "fork")
