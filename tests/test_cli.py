@@ -15,6 +15,7 @@ import pytest
 from bitextaug import pipeline
 from bitextaug.cli import main
 from bitextaug.corpus import Corpus, load_parallel, read_lines, read_sidecar, rows_with_token, scan_lines
+from bitextaug.errors import PipelineError
 from bitextaug.metrics import report_from_csv
 from bitextaug.pipeline import PipelineConfig, cmd_run
 
@@ -719,6 +720,32 @@ class TestRun:
         assert [q.name for q in quarantined] == ["0001-score"]
         assert (quarantined[0] / "runs" / "run-1" / "hyp.txt").is_file()
         assert not list(quarantined[0].glob("runs/*/report.csv"))  # no seed is scored alone
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+    @pytest.mark.parametrize("stage,name", [
+        ("validate", "read_parallel"),
+        ("load", "MixRecipe"),
+        ("sample", "sample"),  # the run samples 50 of the 60 training pairs
+        ("mix", "write_mix"),
+        ("decode", "translate_file"),
+        ("score", "bucketed_bleu_runs"),
+        ("report", "render_diff_chart"),
+    ])
+    def test_each_stage_quarantines_under_its_own_name(
+        self, tmp_path, train_files, test_files, capsys, monkeypatch, stage, name, fork
+    ):
+        def broken(*args, **kwargs):
+            raise PipelineError(f"{name} broke")
+
+        monkeypatch.setattr(pipeline, name, broken)
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        code = main(self.run_args(tmp_path, train_files, test_files, "stages", recipe="vanilla"))
+        assert code == 2
+        assert f"error: {name} broke" in capsys.readouterr().err
+        out = tmp_path / "stages"
+        assert [q.name for q in (out / "quarantine").iterdir()] == [f"0001-{stage}"]
+        assert sorted(p.name for p in out.iterdir()) == ["quarantine"]  # no .work, no .lock
 
     def test_scoring_failure_quarantines_under_score(self, tmp_path, train_files, test_files, capsys):
         # every test source has at least 2 words, so a 1-word bucket covers none
