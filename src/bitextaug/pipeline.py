@@ -11,6 +11,7 @@ subdirectory instead of leaving half-written outputs in place.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import re
@@ -291,33 +292,40 @@ def _quarantine(out_dir: Path, work: Path, stage: str) -> Path:
     return qdir
 
 
-class _InStage(Exception):
-    """A test-side error, sent to the parent as (stage, error)."""
+@contextlib.contextmanager
+def _stage(name: str):
+    """Names the stage an exception leaving the block failed in, unless an inner stage did.
+
+    The name rides on the exception, which pickles with its __dict__, so it crosses a fork.
+    """
+    try:
+        yield
+    except BaseException as exc:
+        if not hasattr(exc, "_bitextaug_stage"):
+            exc._bitextaug_stage = name
+        raise
 
 
 def _decode_and_score(config: PipelineConfig, test: Corpus, runs_dir: Path) -> list[BleuReport]:
     """The test side of a run: decode the test set once per run seed, then score every run.
 
     Writes runs/run-<seed>/hyp.txt and report.csv and returns the reports.
-    Any error is raised as _InStage(stage, error), stage being decode or score.
+    Each decode's line count is checked (a score failure) before the next starts.
     """
-    stage = "decode"
-    try:
-        forward = config.translators()[Direction.FORWARD]
+    with _stage("score"):
         decodes: list[list[str]] = []
         for seed in config.run_seeds:
             run_dir = runs_dir / f"run-{seed}"
-            run_dir.mkdir(parents=True)
-            hyps = translate_file(forward, Path(config.test_source), run_dir / "hyp.txt", seed=seed)
-            stage = "score"
+            with _stage("decode"):
+                run_dir.mkdir(parents=True)
+                forward = config.translators()[Direction.FORWARD]
+                hyps = translate_file(forward, Path(config.test_source), run_dir / "hyp.txt", seed=seed)
             if len(hyps) != len(test):
                 raise PipelineError(
                     f"run {seed}: decoder returned {len(hyps)} lines for {len(test)} test items"
                 )
             decodes.append(hyps)
-            stage = "decode"
 
-        stage = "score"
         reports = bucketed_bleu_runs(
             decodes, test.targets, test.sources, config.bucket_spec(),
             n_order=config.n_order, smooth=config.smooth,
@@ -327,8 +335,6 @@ def _decode_and_score(config: PipelineConfig, test: Corpus, runs_dir: Path) -> l
                 report_to_csv(rep), encoding="utf-8"
             )
         return reports
-    except BaseException as exc:
-        raise _InStage(stage, exc) from None
 
 
 @ending_signals()
@@ -341,7 +347,8 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
     failure the staging directory moves to quarantine/<NNNN>-<stage> and
     the error is re-raised; when both sides fail, the train side's error
     and stage win. Prior successful outputs are never touched by
-    quarantining. Every process of the run holds out_dir's lock.
+    quarantining, and are deleted only once the new ones are all in place.
+    Every process of the run holds out_dir's lock.
 
     SIGTERM and SIGHUP, where they would end the process at once, are
     turned into an exception while the run runs, so a job scheduler's
@@ -365,100 +372,88 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
         if work.exists():  # leftover from a killed run
             _quarantine(out_dir, work, "stale")
         work.mkdir()
-        stage = "validate"
         try:
-            violations, columns = _check_inputs(config)
-            if violations:
-                raise ValidationError(
-                    "validation failed:\n" + "\n".join(f"  {v}" for v in violations)
-                )
-            (work / "resolved.cfg").write_text(config.to_text(), encoding="utf-8")
+            with _stage("validate"):
+                violations, columns = _check_inputs(config)
+                if violations:
+                    raise ValidationError(
+                        "validation failed:\n" + "\n".join(f"  {v}" for v in violations)
+                    )
+                (work / "resolved.cfg").write_text(config.to_text(), encoding="utf-8")
 
-            stage = "load"
-            train = _input_corpus(config, "train", columns.pop("train"))
-            test = _input_corpus(config, "test", columns.pop("test"))
-            base_size = config.base_size or len(train)
-            recipe = MixRecipe(
-                name=config.recipe,
-                base_size=base_size,
-                seed=config.concat_seed,
-                shuffle_output=config.shuffle_output,
-                shuffle_seed=None if config.shuffle_seed < 0 else config.shuffle_seed,
-            )
+            with _stage("load"):
+                test = _input_corpus(config, "test", columns.pop("test"))
+                recipe = MixRecipe(
+                    name=config.recipe,
+                    base_size=config.base_size or len(columns["train"][0]),
+                    seed=config.concat_seed,
+                    shuffle_output=config.shuffle_output,
+                    shuffle_seed=None if config.shuffle_seed < 0 else config.shuffle_seed,
+                )
 
             def sample_and_mix() -> None:
-                nonlocal stage, train
-                stage = "sample"
-                if base_size < len(train):
-                    train = sample(train, base_size, config.sample_seed)  # frees the unsampled pairs
+                with _stage("sample"):  # the unsampled pairs live in this frame only
+                    train = _input_corpus(config, "train", columns.pop("train"))
+                    if recipe.base_size < len(train):
+                        train = sample(train, recipe.base_size, config.sample_seed)  # frees them
+                with _stage("mix"):
+                    mixed = build_mix(recipe, train, translators=config.translators(),
+                                      augment=config.augment_config(), workdir=work)
+                    write_mix(mixed, work / "mix", sep_token=config.sep_token)
 
-                stage = "mix"
-                mixed = build_mix(
-                    recipe,
-                    train,
-                    translators=config.translators(),
-                    augment=config.augment_config(),
-                    workdir=work,
-                )
-                write_mix(mixed, work / "mix", sep_token=config.sep_token)
-                stage = "decode"  # what is left is the test side, in the child
-
-            try:
-                _, reports = map_forked(
-                    lambda side: side(),
-                    [sample_and_mix, lambda: _decode_and_score(config, test, work / "runs")],
-                    worker="test-side worker",
-                    result="reports",
-                )
-            except _InStage as failed:
-                stage, error = failed.args
-                raise error from None
-
-            stage = "report"
-            averaged = average_runs(reports)
-            report_dir = work / "report"
-            report_dir.mkdir()
-            (report_dir / "averaged.csv").write_text(report_to_csv(averaged), encoding="utf-8")
-            table = render_bucket_table([(config.recipe, averaged)])
-            (report_dir / "bucket_table.md").write_text(table, encoding="utf-8")
-            scores = {label: bs.score for label, bs in averaged.per_bucket.items()}
-            svg = render_diff_chart(
-                [(config.recipe, scores)], value_label="BLEU", title="Scores by source length"
+            _, reports = map_forked(
+                lambda side: side(),
+                [sample_and_mix, lambda: _decode_and_score(config, test, work / "runs")],
+                worker="test-side worker",
+                result="reports",
             )
-            (report_dir / "scores.svg").write_text(svg, encoding="utf-8")
-            write_sidecar(
-                report_dir / "metadata.txt",
-                {
-                    "recipe": config.recipe,
-                    "base_size": str(base_size),
-                    "sample_seed": str(config.sample_seed),
-                    "concat_seed": str(config.concat_seed),
-                    "shuffle_seed": str(recipe.derived_shuffle_seed),
-                    "run_seeds": ",".join(str(s) for s in config.run_seeds),
-                    "n_runs": str(len(config.run_seeds)),
-                    "buckets": config.buckets,
-                    "sep_token": config.sep_token,
-                    "min_concat_len": str(config.min_concat_len),
-                    "n_order": str(config.n_order),
-                    "smooth": str(config.smooth).lower(),
-                    "prng": PRNG_ID,
-                },
-            )
-        except BaseException:
-            _quarantine(out_dir, work, stage)
+
+            with _stage("report"):
+                averaged = average_runs(reports)
+                report_dir = work / "report"
+                report_dir.mkdir()
+                (report_dir / "averaged.csv").write_text(report_to_csv(averaged), encoding="utf-8")
+                table = render_bucket_table([(config.recipe, averaged)])
+                (report_dir / "bucket_table.md").write_text(table, encoding="utf-8")
+                scores = {label: bs.score for label, bs in averaged.per_bucket.items()}
+                svg = render_diff_chart(
+                    [(config.recipe, scores)], value_label="BLEU", title="Scores by source length"
+                )
+                (report_dir / "scores.svg").write_text(svg, encoding="utf-8")
+                write_sidecar(
+                    report_dir / "metadata.txt",
+                    {
+                        "recipe": config.recipe,
+                        "base_size": str(recipe.base_size),
+                        "sample_seed": str(config.sample_seed),
+                        "concat_seed": str(config.concat_seed),
+                        "shuffle_seed": str(recipe.derived_shuffle_seed),
+                        "run_seeds": ",".join(str(s) for s in config.run_seeds),
+                        "n_runs": str(len(config.run_seeds)),
+                        "buckets": config.buckets,
+                        "sep_token": config.sep_token,
+                        "min_concat_len": str(config.min_concat_len),
+                        "n_order": str(config.n_order),
+                        "smooth": str(config.smooth).lower(),
+                        "prng": PRNG_ID,
+                    },
+                )
+        except BaseException as exc:  # one raised outside every stage ended the wait for the test side
+            _quarantine(out_dir, work, getattr(exc, "_bitextaug_stage", "decode"))
             raise
 
-        # success: promote staged outputs, replacing prior successful ones; an
-        # interrupt or an ending signal waits until all of them are in place
+        # success: promote staged outputs, moving prior ones aside into .work;
+        # an interrupt or an ending signal waits until all of them are in place
         outputs: dict[str, Path] = {}
+        staged = sorted(work.iterdir())
+        prior = work / ".prior"
+        prior.mkdir()
         with held_signals():
-            for child in sorted(work.iterdir()):
+            for child in staged:
                 dest = out_dir / child.name
-                if dest.is_dir():
-                    shutil.rmtree(dest)
-                elif dest.exists():
-                    dest.unlink()
+                if dest.exists():
+                    dest.rename(prior / child.name)
                 child.rename(dest)
                 outputs[child.name] = dest
-            work.rmdir()
+        shutil.rmtree(work)  # the prior outputs
     return outputs

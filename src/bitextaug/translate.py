@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import os
 import shlex
 import signal
@@ -21,6 +22,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .corpus import Corpus, Origin, Side, line_problem, read_lines, scan_lines, write_lines
 from .errors import CorpusFormatError, TranslatorError, ValidationError
+from .forked import held_signals
 
 PathLike = Union[str, Path]
 
@@ -94,9 +96,10 @@ def translate_file(
 
     # The command gets its own session, so that killing its process group
     # on timeout or interrupt stops the translator too, not only the shell.
-    # Its diagnostics may be in any encoding; undecodable bytes must not
-    # fail a good decode or hide why a bad one failed.
-    with subprocess.Popen(
+    # A stop signal waits until proc exists to be killed; the command starts
+    # with the caller's signal mask. Its diagnostics may be in any encoding;
+    # undecodable bytes must not fail a good decode or hide why a bad one failed.
+    with held_signals() as mask, subprocess.Popen(
         command,
         shell=True,
         env=_child_env(),
@@ -105,8 +108,10 @@ def translate_file(
         encoding="utf-8",
         errors="replace",
         start_new_session=True,
+        preexec_fn=functools.partial(signal.pthread_sigmask, signal.SIG_SETMASK, mask),
     ) as proc:
         try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a signal that waited is raised here
             stdout, stderr = proc.communicate(timeout=spec.timeout)
         except BaseException as exc:
             with contextlib.suppress(ProcessLookupError):

@@ -3,6 +3,7 @@ import hashlib
 import os
 import random
 import shlex
+import shutil
 import signal
 import subprocess
 import sys
@@ -250,6 +251,37 @@ class TestDataCommands:
         assert "Traceback" not in err
         TestRunSides.assert_gone(pid_file)
         assert not list(tmp.glob("bitextaug-*"))  # the translator's input and output are removed
+
+    def test_sigterm_while_the_translator_starts_stops_it(self, train_files, tmp_path):
+        # SIGTERM lands inside Popen, after the translator has started and
+        # written its PID, before Popen has returned a process to kill
+        script = (
+            "import signal, subprocess, sys, time\n"
+            "from pathlib import Path\n"
+            "from bitextaug.cli import main\n"
+            "pid_file, start = Path(sys.argv[1]), subprocess.Popen._execute_child\n"
+            "def started_then_signalled(*args, **kwargs):\n"
+            "    start(*args, **kwargs)\n"
+            "    deadline = time.monotonic() + 20\n"
+            "    while not pid_file.exists() and time.monotonic() < deadline:\n"
+            "        time.sleep(0.05)\n"
+            "    signal.raise_signal(signal.SIGTERM)\n"
+            "subprocess.Popen._execute_child = started_then_signalled\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        src, tgt = train_files
+        pid_file, tmp = tmp_path / "translator.pid", tmp_path / "tmp"
+        tmp.mkdir()
+        args = ["bt", "--source", str(src), "--target", str(tgt),
+                "--backward-cmd", TestRunSides.sleeping_decoder(pid_file), "--out-prefix", str(tmp_path / "bt")]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(pid_file), *args],
+            stderr=subprocess.PIPE, text=True, env={**os.environ, "TMPDIR": str(tmp)}, timeout=60,
+        )
+        assert proc.returncode == -signal.SIGTERM, proc.stderr
+        assert "Traceback" not in proc.stderr
+        TestRunSides.assert_gone(pid_file)
+        assert not list(tmp.glob("bitextaug-*"))
 
     @pytest.mark.parametrize("command,flag", [("bt", "--backward-cmd"), ("st", "--forward-cmd")])
     @pytest.mark.parametrize("timeout", ["nan", "inf", "1e7"])
@@ -605,6 +637,28 @@ class TestRun:
         metadata = read_sidecar(tmp_path / "out" / "report" / "metadata.txt")
         assert manifest["meta.recipe"] == metadata["recipe"] == "vanilla+concat"
 
+    def test_prior_outputs_are_deleted_once_the_new_ones_are_in_place(
+        self, tmp_path, train_files, test_files, monkeypatch
+    ):
+        out = tmp_path / "out"
+        assert main(self.run_args(tmp_path, train_files, test_files, "out", recipe="vanilla")) == 0
+        rmtree, calls = shutil.rmtree, []
+
+        def watched_rmtree(path, *args, **kwargs):
+            if Path(path).is_relative_to(out):
+                held = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+                recipe = read_sidecar(out / "report" / "metadata.txt")["recipe"]
+                calls.append((path, held, recipe))
+            return rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(shutil, "rmtree", watched_rmtree)
+        assert main(self.run_args(tmp_path, train_files, test_files, "out", recipe="vanilla+concat")) == 0
+        assert calls
+        for path, held, recipe in calls:
+            assert not held & {signal.SIGINT, signal.SIGTERM, signal.SIGHUP}, path
+            assert recipe == "vanilla+concat", path
+        assert sorted(p.name for p in out.iterdir()) == ["mix", "report", "resolved.cfg", "runs"]
+
     def test_config_file_with_overrides(self, tmp_path, train_files, test_files):
         config = tmp_path / "exp.cfg"
         config.write_text(
@@ -746,6 +800,15 @@ class TestRun:
         out = tmp_path / "stages"
         assert [q.name for q in (out / "quarantine").iterdir()] == [f"0001-{stage}"]
         assert sorted(p.name for p in out.iterdir()) == ["quarantine"]  # no .work, no .lock
+
+    def test_short_real_decode_quarantines_under_decode(self, tmp_path, train_files, test_files, capsys):
+        # translate_file counts the lines of a real decoder's output itself
+        args = self.run_args(tmp_path, train_files, test_files, "short", recipe="vanilla")
+        args[args.index("--forward-cmd") + 1] = "sed '$d' {IN} > {OUT}"
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "translator 'forward' line-count mismatch: 30 input lines vs 29 output lines" in err
+        assert [q.name for q in (tmp_path / "short" / "quarantine").iterdir()] == ["0001-decode"]
 
     def test_scoring_failure_quarantines_under_score(self, tmp_path, train_files, test_files, capsys):
         # every test source has at least 2 words, so a 1-word bucket covers none
