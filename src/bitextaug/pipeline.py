@@ -397,8 +397,13 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
                     if recipe.base_size < len(train):
                         train = sample(train, recipe.base_size, config.sample_seed)  # frees them
                 with _stage("mix"):
-                    mixed = build_mix(recipe, train, translators=config.translators(),
-                                      augment=config.augment_config(), workdir=work)
+                    mixed = build_mix(
+                        recipe,
+                        train,
+                        translators=config.translators(),
+                        augment=config.augment_config(),
+                        workdir=work,
+                    )
                     write_mix(mixed, work / "mix", sep_token=config.sep_token)
 
             _, reports = map_forked(
@@ -442,17 +447,14 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
             _quarantine(out_dir, work, getattr(exc, "_bitextaug_stage", "decode"))
             raise
 
-        # success: promote staged outputs, moving prior ones aside into .work;
-        # an interrupt or an ending signal waits until all of them are in place
+        # success: promote staged outputs, moving each prior one aside into .work
+        # as .<name>; an interrupt or an ending signal waits until all are in place
         outputs: dict[str, Path] = {}
-        staged = sorted(work.iterdir())
-        prior = work / ".prior"
-        prior.mkdir()
         with held_signals():
-            for child in staged:
+            for child in sorted(work.iterdir()):
                 dest = out_dir / child.name
                 if dest.exists():
-                    dest.rename(prior / child.name)
+                    dest.rename(work / f".{child.name}")
                 child.rename(dest)
                 outputs[child.name] = dest
         shutil.rmtree(work)  # the prior outputs
