@@ -6,9 +6,12 @@ command runs in one, so a scheduler's timeout or a closed terminal stops
 it the way an interrupt does: translators are killed, temporary
 directories removed, and forked children stopped and reaped.
 
-``map_forked`` spreads BLEU shards over the CPUs and runs ``run``'s test
-side next to its train side. A child turns SIGTERM into ``Ended`` itself,
-so it stops the way its parent does. Without ``os.fork`` the calls run in turn.
+``map_forked`` spreads BLEU shards over the CPUs, runs ``run``'s test
+side next to its train side, and lets ``corpus.save_parallel`` write a
+large corpus's target file in a child while the parent writes its source
+file (unless a child of the parent already runs). A child turns SIGTERM
+into ``Ended`` itself, so it stops the way its parent does. Without
+``os.fork`` the calls run in turn.
 """
 
 from __future__ import annotations

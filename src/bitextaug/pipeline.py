@@ -347,7 +347,9 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
     failure the staging directory moves to quarantine/<NNNN>-<stage> and
     the error is re-raised; when both sides fail, the train side's error
     and stage win. Prior successful outputs are never touched by
-    quarantining, and are deleted only once the new ones are all in place.
+    quarantining, and are deleted only once the new ones are all in place;
+    a .work that a stopped deletion left holding only them is deleted by the
+    next run, and any other .work is quarantined as stale.
     Every process of the run holds out_dir's lock.
 
     SIGTERM and SIGHUP, where they would end the process at once, are
@@ -370,7 +372,11 @@ def cmd_run(config: PipelineConfig) -> dict[str, Path]:
     with _Lock(out_dir):
         work = out_dir / ".work"
         if work.exists():  # leftover from a killed run
-            _quarantine(out_dir, work, "stale")
+            leftovers = [p.name for p in work.iterdir()]
+            if leftovers and all(name.startswith(".") for name in leftovers):
+                shutil.rmtree(work)  # only prior outputs, moved aside once every new one was in place
+            else:
+                _quarantine(out_dir, work, "stale")
         work.mkdir()
         try:
             with _stage("validate"):

@@ -20,7 +20,7 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .corpus import Corpus, Origin, Side, line_problem, read_lines, scan_lines, write_lines
+from .corpus import Corpus, Origin, Side, _chunks, line_problem, read_lines, scan_lines
 from .errors import CorpusFormatError, TranslatorError, ValidationError
 from .forked import held_signals
 
@@ -146,7 +146,8 @@ def _translated_lines(
 ) -> list[str]:
     with tempfile.TemporaryDirectory(dir=workdir, prefix="bitextaug-") as td:
         in_path = Path(td) / f"{label}.in"
-        write_lines(in_path, lines)
+        with open(in_path, "wb") as f:  # as write_lines writes, without a digest no one reads
+            f.writelines(_chunks(lines))
         out = translate_file(spec, in_path, Path(td) / f"{label}.out")
     for i, line in enumerate(out):
         problem = line_problem(line)

@@ -356,6 +356,46 @@ class TestDataCommands:
         assert entries["pairs.total"] == "240"
         assert entries["pairs.concat"] == "120"
 
+    def test_sigterm_to_mix_stops_its_target_writer_and_ends_mix_by_that_signal(self, train_files, tmp_path):
+        # every corpus forks a target writer, which records its pid and then sleeps where it would write
+        script = (
+            "import os, sys, time\n"
+            "from bitextaug import corpus\n"
+            "from bitextaug.cli import main\n"
+            "parent, writer, write = os.getpid(), sys.argv.pop(1), corpus.write_lines\n"
+            "def write_lines(path, lines):\n"
+            "    if os.getpid() != parent:\n"
+            "        with open(writer + '.tmp', 'w') as f:\n"
+            "            f.write(str(os.getpid()))\n"
+            "        os.rename(writer + '.tmp', writer)\n"
+            "        time.sleep(60)\n"
+            "    return write(path, lines)\n"
+            "corpus.write_lines = write_lines\n"
+            "corpus._FORK_MIN_LINES = 1\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src, tgt = train_files
+        writer = tmp_path / "writer.pid"
+        cli = [sys.executable, "-c", script, str(writer), "mix", "--source", str(src), "--target", str(tgt),
+               "--recipe", "vanilla+concat", "--seed", "4", "--out-dir", str(tmp_path / "mixdir")]
+        with open(tmp_path / "stderr.txt", "w") as stderr:  # not a pipe, which a writer left running holds open
+            proc = subprocess.Popen(cli, stderr=stderr)
+        try:
+            deadline = time.monotonic() + 30
+            while not writer.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert writer.exists(), "no target writer started"
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        err = (tmp_path / "stderr.txt").read_text(encoding="utf-8")
+        assert proc.returncode == -signal.SIGTERM, err
+        assert "Traceback" not in err
+        TestRunSides.assert_gone(writer)
+
     @pytest.mark.parametrize("source_lang,target_lang", [("en", "en"), ("manifest", "de"), ("en", "meta")])
     @pytest.mark.parametrize("command", ["mix", "sample"])
     def test_clashing_language_codes_write_nothing(
@@ -658,6 +698,27 @@ class TestRun:
             assert not held & {signal.SIGINT, signal.SIGTERM, signal.SIGHUP}, path
             assert recipe == "vanilla+concat", path
         assert sorted(p.name for p in out.iterdir()) == ["mix", "report", "resolved.cfg", "runs"]
+
+    def test_prior_outputs_left_by_an_interrupted_deletion_are_deleted_not_quarantined(
+        self, tmp_path, train_files, test_files, monkeypatch
+    ):
+        # a run stopped while it deletes the prior outputs leaves only them in
+        # .work, as dot-names; the next run has nothing of a failed run to keep
+        out = tmp_path / "out"
+        assert main(self.run_args(tmp_path, train_files, test_files, "out", recipe="vanilla")) == 0
+        with monkeypatch.context() as mp:
+            def interrupted_rmtree(path, *args, **kwargs):
+                raise KeyboardInterrupt
+
+            mp.setattr(shutil, "rmtree", interrupted_rmtree)
+            with pytest.raises(KeyboardInterrupt):
+                main(self.run_args(tmp_path, train_files, test_files, "out", recipe="vanilla+concat"))
+        assert sorted(p.name for p in (out / ".work").iterdir()) == [".mix", ".report", ".resolved.cfg", ".runs"]
+        second = {p: p.read_bytes() for p in out.rglob("*") if p.is_file() and ".work" not in p.parts}
+        assert read_sidecar(out / "report" / "metadata.txt")["recipe"] == "vanilla+concat"
+        assert main(self.run_args(tmp_path, train_files, test_files, "out", recipe="vanilla+concat")) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["mix", "report", "resolved.cfg", "runs"]
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == second  # the same run again
 
     def test_config_file_with_overrides(self, tmp_path, train_files, test_files):
         config = tmp_path / "exp.cfg"

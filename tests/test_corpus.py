@@ -1,5 +1,12 @@
+import hashlib
+import os
+import subprocess
+import sys
+
 import pytest
 
+from bitextaug import corpus as corpus_module
+from bitextaug.augment import AugmentConfig
 from bitextaug.buckets import STANDARD_BUCKETS
 from bitextaug.corpus import (
     Corpus,
@@ -15,8 +22,9 @@ from bitextaug.corpus import (
     validate_corpus,
 )
 from bitextaug.errors import CorpusFormatError, ValidationError
+from bitextaug.mix import MixRecipe, build_mix, write_mix
 
-from conftest import corpus_of, make_corpus
+from conftest import corpus_of, make_corpus, record_forks
 
 
 class TestLoadParallel:
@@ -147,6 +155,91 @@ class TestRoundTrip:
         shuffled = corpus.take([1, 0], "shuffled", {})
         with pytest.raises(CorpusFormatError, match="first source and target line"):
             save_parallel(shuffled, tmp_path / "s.src", tmp_path / "s.tgt")
+
+
+class TestTwoProcessWrite:
+    """From _FORK_MIN_LINES lines on, and with no child of this process running, save_parallel forks a target writer."""
+
+    @staticmethod
+    def written(corpus, out_dir):
+        """The digests save_parallel returns and the bytes of its files and of write_mix's."""
+        out_dir.mkdir(parents=True)
+        paths = out_dir / "c.src", out_dir / "c.tgt"
+        digests = save_parallel(corpus, *paths)
+        write_mix(corpus, out_dir / "mix")
+        return digests, [path.read_bytes() for path in paths], {
+            path.name: path.read_bytes() for path in sorted((out_dir / "mix").iterdir())
+        }
+
+    def test_bytes_and_digests_do_not_depend_on_the_process_count(self, tmp_path, monkeypatch):
+        plain = make_corpus(40, seed=3, min_len=13, max_len=22)
+        corpora = {
+            "plain": plain,
+            "mix": build_mix(
+                MixRecipe("vanilla+concat", 40, seed=1), plain, augment=AugmentConfig(seed=1, min_concat_len=25)
+            ),
+            "non-ascii": Corpus(
+                ["Grüße aus Köln", "東京 は 大きい", "naïve café \U0001f642"],
+                ["salut", "€ 5 · ½", "ß ẞ \u3000 x"],
+                [Origin.ORIGINAL] * 3,
+            ),
+        }
+        results = {}
+        for setup, forks in (("no fork", None), ("fork", 2 * len(corpora)), ("default", 0)):
+            with monkeypatch.context() as mp:
+                if forks is None:
+                    mp.delattr(os, "fork")
+                else:
+                    forked = record_forks(mp)
+                if forks != 0:  # without os.fork, map_forked writes the two files in turn
+                    mp.setattr(corpus_module, "_FORK_MIN_LINES", 2)
+                results[setup] = {name: self.written(c, tmp_path / setup / name) for name, c in corpora.items()}
+            if forks is not None:
+                assert len(forked) == forks, setup
+                for pid in forked:
+                    with pytest.raises(ChildProcessError):
+                        os.waitpid(pid, os.WNOHANG)
+        assert results["fork"] == results["no fork"] == results["default"]
+        for digests, files, _ in results["fork"].values():
+            assert digests == tuple(hashlib.sha256(data).hexdigest() for data in files)
+
+    def test_a_running_child_keeps_both_writes_in_this_process(self, tmp_path, monkeypatch):
+        # such a child (run's test side) already keeps the other CPU busy; one that has exited does not
+        corpus = make_corpus(40)
+        monkeypatch.setattr(corpus_module, "_FORK_MIN_LINES", 2)
+        digests, forks = {}, {}
+        sleeper = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            for state in ("running", "exited"):
+                if state == "exited":
+                    sleeper.kill()
+                    os.waitid(os.P_PID, sleeper.pid, os.WEXITED | os.WNOWAIT)  # ended, not yet reaped
+                with monkeypatch.context() as mp:
+                    forked = record_forks(mp)
+                    digests[state] = save_parallel(corpus, tmp_path / f"{state}.src", tmp_path / f"{state}.tgt")
+                forks[state] = len(forked)
+        finally:
+            sleeper.kill()
+            sleeper.wait(timeout=30)
+        assert forks == {"running": 0, "exited": 1}
+        assert digests["running"] == digests["exited"]
+
+    def test_a_target_write_that_fails_in_the_child_raises_here(self, tmp_path, monkeypatch):
+        corpus = make_corpus(40)
+        (tmp_path / "c.tgt").mkdir()
+        errors = []
+        for min_lines in (len(corpus) + 1, 2):  # in turn, then in a forked child
+            with monkeypatch.context() as mp:
+                mp.setattr(corpus_module, "_FORK_MIN_LINES", min_lines)
+                forked = record_forks(mp)
+                with pytest.raises(IsADirectoryError) as raised:
+                    save_parallel(corpus, tmp_path / "c.src", tmp_path / "c.tgt")
+            errors.append((type(raised.value), str(raised.value)))
+            assert len(forked) == (min_lines == 2)
+            for pid in forked:
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(pid, os.WNOHANG)
+        assert errors[0] == errors[1]
 
 
 class TestValidateCorpus:
