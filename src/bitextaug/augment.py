@@ -66,9 +66,7 @@ def concat_pair(a: SentencePair, b: SentencePair, sep: str = DEFAULT_SEP_TOKEN) 
             raise ValidationError(f"concat_pair: {label} input is already concatenated")
         if sep in tokenize(p.source) or sep in tokenize(p.target):
             raise ValidationError(f"concat_pair: {label} input contains the separator token {sep!r}")
-    return SentencePair(
-        f"{a.source} {sep} {b.source}", f"{a.target} {sep} {b.target}", Origin.CONCAT
-    )
+    return SentencePair(_Joined.join(a.source, b.source, sep), _Joined.join(a.target, b.target, sep), Origin.CONCAT)
 
 
 def _check_pool_origin(pool: Corpus) -> None:

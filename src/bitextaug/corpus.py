@@ -111,10 +111,13 @@ class _Joined:
     def __len__(self) -> int:
         return len(self.first)
 
+    @staticmethod
+    def join(first, second, sep: str):
+        """The line of two halves with the separator between, or of each pair of items of two object arrays."""
+        return first + f" {sep} " + second  # object arrays add item by item
+
     def _gather(self, rows: np.ndarray) -> np.ndarray:
-        # object arrays add item by item: each line is its halves with the separator between
-        halves = self.column._gather(self.first[rows]), self.column._gather(self.second[rows])
-        return halves[0] + f" {self.sep} " + halves[1]
+        return self.join(self.column._gather(self.first[rows]), self.column._gather(self.second[rows]), self.sep)
 
     def _fact(self, key) -> np.ndarray:
         # a joined line's tokens are its halves' tokens and the separator between them

@@ -27,11 +27,11 @@ platform cannot fork. A score does not depend on W.
 One kernel, ``_ngram_stats``, counts every n-gram order. It is
 item-major and scores K decoding runs of one test set together: each
 reference is split once, and each distinct hypothesis line of an item is
-split and counted once, its result going to every run that returned that
-line. A pair is counted in one of three exact tiers: from its length when
-the hypothesis equals the reference; in numpy, over a block of items at a
-time, when the reference repeats no token; and with per-item n-gram
-counts, the counted tier, when it does.
+split and counted once; a run that returned the line of an earlier run
+takes that run's row. A pair is counted in one of two exact tiers: in
+numpy, over a block of items at a time, when the reference repeats no
+token (the slot tier); and with per-item n-gram counts when it does (the
+counted tier).
 ``bucketed_bleu_runs`` scores K runs with one source split, one bucket
 assignment and one set of shard workers; ``bucketed_bleu`` and
 ``corpus_bleu`` are its K = 1 cases.
@@ -62,7 +62,7 @@ from .forked import map_forked
 # 190K characters each, two shards took 0.80-0.90 of one shard's wall time.
 SHARD_MIN_CHARS = 150_000
 
-# Tier-2 reference slots counted together. It bounds the flat buffers and
+# Slot-tier reference slots counted together. It bounds the flat buffers and
 # their numpy temporaries to about 64 KiB per run each. With one block for
 # all items, scoring the bleu-long-tail inputs raised a `bitextaug bleu`
 # process's peak RSS by 5.4 MiB (9%); with 2**13 slots, by about 0.3 MiB.
@@ -99,27 +99,30 @@ def _ngram_stats(hyp_runs: Sequence[Sequence[str]], refs: Sequence[str], n_order
     n-grams per order, its hypothesis length and its reference length.
 
     Item-major: each reference is split once, and each distinct hypothesis
-    line of an item is split and matched once, its result given to every
-    run that returned that line. The hypothesis n-grams follow from the
-    hypothesis length. A pair takes one of three exact tiers.
+    line of an item is split and matched once. The hypothesis n-grams
+    follow from the hypothesis length. A pair takes one of two exact tiers.
 
-    1. Equal pair: a hypothesis whose tokens equal its reference's matches
-       every n-gram, so it is counted from its length.
-    2. Reference that repeats no token: each reference token gets a slot,
-       numbered across the references of a block of items with one spare
-       slot after each reference. Each hypothesis token's slot, or -1 when
-       the reference lacks it, goes into a flat per-run buffer, and the
-       block is counted at once in numpy (``_slot_matches``): the n-gram
-       at buffer index i matches iff the n slots from i are present and
-       consecutive, so it occurs in the reference starting at slot p[i];
-       the spare slot keeps such a run inside one sentence. Every n-gram
-       of such a reference occurs once, so the clipped count is the number
-       of distinct reference start slots hit, whatever the hypothesis
-       repeats.
-    3. Reference that repeats a token: its n-gram counts of all orders go
-       into one dict (key spaces are disjoint: str vs n-tuples), built
-       once per item, and each hypothesis n-gram takes one from a copy of
-       it while any are left.
+    1. Slot tier, for a reference that repeats no token: each reference
+       token gets a slot, numbered across the references of a block of
+       items with one spare slot after each reference. Each hypothesis
+       token's slot, or -1 when the reference lacks it, goes into a flat
+       per-run buffer, and the block is counted at once in numpy
+       (``_slot_matches``): the n-gram at buffer index i matches iff the n
+       slots from i are present and consecutive, so it occurs in the
+       reference starting at slot p[i]; the spare slot keeps such a run
+       inside one sentence. Every n-gram of such a reference occurs once,
+       so the clipped count is the number of distinct reference start
+       slots hit, whatever the hypothesis repeats.
+    2. Counted tier, for a reference that repeats a token: its n-gram
+       counts of all orders go into one dict (key spaces are disjoint: str
+       vs n-tuples), built once per item, and each hypothesis n-gram takes
+       one from a copy of it while any are left.
+
+    A hypothesis equal to its reference takes its reference's tier. A line
+    that an earlier run returned for the same item is not split again: the
+    later run records (item, earlier run), where the earlier run is the
+    first that returned the line, and once every row is complete it takes
+    that run's whole row.
     """
     # imported here, not at module level: array is a shared library, and
     # the commands that score nothing (mix, concat, ...) need not map it
@@ -129,9 +132,9 @@ def _ngram_stats(hyp_runs: Sequence[Sequence[str]], refs: Sequence[str], n_order
     columns = np.zeros((n_runs, 2 * n_order + 2, len(refs)), np.int64)  # the rows, transposed
     matched = columns[:, :n_order]
     lengths = [array("q") for _ in range(n_runs)]
-    equal: list[list[int]] = [[] for _ in range(n_runs)]  # items of tier-1 hypotheses
     ref_lens = array("q")
-    slots = [array("q") for _ in range(n_runs)]  # tier 2's flat buffers
+    slots = [array("q") for _ in range(n_runs)]  # the slot tier's flat buffers
+    repeats = [array("q") for _ in range(n_runs)]  # (item, earlier run) of each line an earlier run returned
     start = free = 0  # the first item and the next unused reference slot of this block
 
     def count_block(stop: int) -> None:
@@ -154,61 +157,52 @@ def _ngram_stats(hyp_runs: Sequence[Sequence[str]], refs: Sequence[str], n_order
         if len(pos) < lr:
             pos = None
         rcounts = None
-        done = []  # (length, tier, result) of each run's hypothesis for this item
         for k, hyp in enumerate(hyps):
             first = hyps.index(hyp)
             if first < k:
-                lh, tier, result = done[first]
-            else:
-                ht = tokenize(hyp)
-                lh = len(ht)
-                if ht == rt:
-                    tier, result = 1, None
-                elif pos is not None:
-                    tier, result = 2, len(slots[k])
-                    slots[k].extend(map(pos.get, ht, repeat(-1)))
-                else:
-                    if rcounts is None:
-                        rcounts = {}
-                        for n in range(1, n_order + 1):
-                            _count_elements(rcounts, rt if n == 1 else zip(*(rt[i:] for i in range(n))))
-                    left = rcounts.copy()
-                    get = left.get
-                    tier, result = 3, [0] * n_order
-                    for n in range(1, n_order + 1):
-                        m = 0
-                        for g in ht if n == 1 else zip(*(ht[i:] for i in range(n))):
-                            c = get(g)
-                            if c:
-                                m += 1
-                                left[g] = c - 1
-                        if m == 0:
-                            break
-                        result[n - 1] = m
-            done.append((lh, tier, result))
-            lengths[k].append(lh)
-            if tier == 1:
-                equal[k].append(item)
-            elif tier == 2:
-                if first < k:
-                    slots[k].extend(slots[first][result : result + lh])
-            else:
-                matched[k, :, item] = result
+                repeats[k].extend((item, first))
+                lengths[k].append(0)  # the row copy sets it
+                continue
+            ht = tokenize(hyp)
+            lengths[k].append(len(ht))
+            if pos is not None:
+                slots[k].extend(map(pos.get, ht, repeat(-1)))
+                continue
+            if rcounts is None:
+                rcounts = {}
+                for n in range(1, n_order + 1):
+                    _count_elements(rcounts, rt if n == 1 else zip(*(rt[i:] for i in range(n))))
+            left = rcounts.copy()
+            get = left.get
+            for n in range(1, n_order + 1):
+                m = 0
+                for g in ht if n == 1 else zip(*(ht[i:] for i in range(n))):
+                    c = get(g)
+                    if c:
+                        m += 1
+                        left[g] = c - 1
+                if m == 0:
+                    break
+                matched[k, n - 1, item] = m
     count_block(len(refs))
-    totals = columns[:, n_order:-2]
-    for k, items in enumerate(equal):
+    for k in range(n_runs):
         columns[k, -2], columns[k, -1] = lengths[k], ref_lens
-        np.maximum(columns[k, -2] - np.arange(n_order)[:, None], 0, out=totals[k])
-        matched[k][:, items] = totals[k][:, items]
+    np.maximum(columns[:, -2, None] - np.arange(n_order)[:, None], 0, out=columns[:, n_order:-2])
+    for k, pairs in enumerate(repeats):
+        if pairs:
+            items, earlier = np.frombuffer(pairs, np.int64).reshape(-1, 2).T
+            columns[k][:, items] = columns[earlier, :, items].T
     return columns.transpose(0, 2, 1)
 
 
 def _slot_matches(buffer: "array.array", firsts: np.ndarray, n_slots: int, n_order: int) -> np.ndarray:
-    """Tier 2's clipped matches per item and order: the distinct reference slots at which a matching n-gram starts.
+    """The slot tier's clipped matches per item and order: the distinct reference slots where a matching n-gram starts.
 
     buffer holds each hypothesis token's reference slot, -1 when absent;
     slots lie in 0..n_slots-1, and item j's run from firsts[j] and include
-    at least its spare one. Returns shape (n_order, items).
+    at least its spare one. Returns shape (n_order, items). An item whose
+    line the run took from an earlier run has no tokens here and reads 0
+    until the row copy.
     """
     p = np.frombuffer(buffer, np.int64)
     hit = np.zeros((n_order, n_slots), np.uint8)  # hit[n, slot]: a matching (n+1)-gram starts there

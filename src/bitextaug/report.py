@@ -19,10 +19,6 @@ from .metrics import BleuDiff, BleuReport, JudgmentTally, DIMENSIONS, check_comp
 _PALETTE = ("#4878d0", "#ee854a", "#6acc64", "#d65f5f", "#956cb4", "#8c613c")
 
 
-def _fmt1(score: float) -> str:
-    return f"{round(score, 1):.1f}"
-
-
 def render_bucket_table(reports: Sequence[tuple[str, BleuReport]]) -> str:
     """Markdown table: one row per system, columns all + buckets.
 

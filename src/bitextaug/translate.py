@@ -13,6 +13,7 @@ import contextlib
 import enum
 import functools
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -89,10 +90,10 @@ def translate_file(
         output_path = input_path.with_name(f"{input_path.name}.{spec.name}.out")
     output_path = Path(output_path)
 
-    command = spec.command_template.replace("{IN}", shlex.quote(str(input_path)))
-    command = command.replace("{OUT}", shlex.quote(str(output_path)))
-    if "{SEED}" in command:
-        command = command.replace("{SEED}", str(seed if seed is not None else 0))
+    # one pass over the template, so a placeholder inside an inserted path stays as it is
+    fills = {"{IN}": shlex.quote(str(input_path)), "{OUT}": shlex.quote(str(output_path)),
+             "{SEED}": str(seed if seed is not None else 0)}
+    command = re.sub(r"\{(?:IN|OUT|SEED)\}", lambda m: fills[m[0]], spec.command_template)
 
     # The command gets its own session, so that killing its process group
     # on timeout or interrupt stops the translator too, not only the shell.

@@ -87,3 +87,17 @@ def forced_shards(cpus: int, min_chars: int):
         mp.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         mp.setattr(metrics, "SHARD_MIN_CHARS", min_chars)
         yield record_forks(mp)
+
+
+@contextlib.contextmanager
+def replaced_everywhere(func, replacement):
+    """Bind replacement in place of the package function func in every bitextaug module that binds func.
+
+    The bindings are undone when the block ends, so it serves under a
+    monkeypatch fixture and inside a hypothesis example alike.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("bitextaug") and getattr(module, func.__name__, None) is func:
+                mp.setattr(module, func.__name__, replacement)
+        yield

@@ -20,7 +20,7 @@ from bitextaug.errors import PipelineError
 from bitextaug.metrics import report_from_csv
 from bitextaug.pipeline import PipelineConfig, cmd_run
 
-from conftest import make_corpus, mock_cmd, record_forks, write_pair_files
+from conftest import make_corpus, mock_cmd, record_forks, replaced_everywhere, write_pair_files
 
 # a translator that writes one byte that is not UTF-8 and ignores its input
 BAD_UTF8_CMD = "printf '\\377\\n' > {OUT} # {IN}"
@@ -639,6 +639,16 @@ class TestRun:
         for seed in (1, 2, 3):
             assert (tmp_path / "out" / "runs" / f"run-{seed}" / "report.csv").exists()
 
+    def test_placeholder_in_the_out_dir_is_part_of_its_name(self, tmp_path, train_files, test_files, capsys):
+        # each decode's paths lie under out_dir, so a {SEED} there must reach the decoder as written
+        code = main(self.run_args(tmp_path, train_files, test_files, "exp-{SEED}", recipe="vanilla"))
+        assert code == 0, capsys.readouterr().err
+        out = tmp_path / "exp-{SEED}"
+        assert sorted(p.name for p in out.iterdir()) == ["mix", "report", "resolved.cfg", "runs"]
+        for seed in (1, 2, 3):
+            assert (out / "runs" / f"run-{seed}" / "report.csv").exists()
+        assert not (tmp_path / "exp-1").exists()
+
     def test_repeated_run_seed_is_rejected_before_the_run(self, tmp_path, train_files, test_files, capsys):
         args = self.run_args(tmp_path, train_files, test_files, "dup")
         args[args.index("1,2,3")] = "1,2,1"
@@ -782,10 +792,8 @@ class TestRun:
             scanned[Path(path)] += 1
             return scan_lines(path)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("bitextaug") and getattr(module, "scan_lines", None) is scan_lines:
-                monkeypatch.setattr(module, "scan_lines", counting_scan)
-        assert main(self.run_args(tmp_path, train_files, test_files, "once")) == 0
+        with replaced_everywhere(scan_lines, counting_scan):
+            assert main(self.run_args(tmp_path, train_files, test_files, "once")) == 0
         # the back-translator's files lived in a temporary directory of the run
         bt_files = {path.name: n for path, n in scanned.items() if path.name.startswith("bt.")}
         others = {path: n for path, n in scanned.items() if not path.name.startswith("bt.")}
@@ -796,9 +804,7 @@ class TestRun:
         assert others == {train_files[0]: 1, train_files[1]: 1, test_files[1]: 1, test_files[0]: 4,
                           **{hyp: 1 for hyp in hyps}}
 
-    def test_only_the_back_translated_sources_are_scanned_for_the_separator(
-        self, tmp_path, train_files, test_files, monkeypatch
-    ):
+    def test_only_the_back_translated_sources_are_scanned_for_the_separator(self, tmp_path, train_files, test_files):
         # the input check has rejected every training line that holds the
         # separator, so only the back-translator's output can hold one
         scanned = []
@@ -807,12 +813,10 @@ class TestRun:
             scanned.append(lines)
             return rows_with_token(lines, token)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("bitextaug") and getattr(module, "rows_with_token", None) is rows_with_token:
-                monkeypatch.setattr(module, "rows_with_token", counting)
         args = self.run_args(tmp_path, train_files, test_files, "scans")
         args[args.index("--backward-cmd") + 1] = mock_cmd("reverse")
-        assert main(args) == 0
+        with replaced_everywhere(rows_with_token, counting):
+            assert main(args) == 0
         targets = set(load_parallel(*train_files).targets)
         assert [len(lines) for lines in scanned] == [50]
         assert all(" ".join(reversed(line.split())) in targets for line in scanned[0])

@@ -183,8 +183,8 @@ class TestCorpusBleuOracle:
             assert_kernel_equals_oracle(hyps, refs, f"trial {trial}")
 
     def test_repeat_free_pairs_equal_oracle_counts_and_score(self):
-        # neither side repeats a token, so every pair takes the position
-        # tier; hypotheses splice shared reference runs of length 1-6 with
+        # neither side repeats a token, so every pair takes the slot tier;
+        # hypotheses splice shared reference runs of length 1-6 with
         # tokens absent from the reference, at lengths 0-200
         edge_h = ["x a", "b x", "x y", "x a b c d", "a b c d y", ""]
         edge_r = ["a b", "a b", "a b", "a b c d", "a b c d", "a"]

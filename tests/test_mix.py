@@ -1,5 +1,4 @@
 import hashlib
-import sys
 import tracemalloc
 
 import pytest
@@ -10,7 +9,7 @@ from bitextaug.errors import ValidationError
 from bitextaug.mix import MixRecipe, build_mix, mix_manifest, write_mix
 from bitextaug.translate import Direction, back_translate, mock_spec
 
-from conftest import make_corpus
+from conftest import make_corpus, replaced_everywhere
 
 
 def translators():
@@ -239,7 +238,7 @@ class TestWriteMix:
                 assert entries[f"meta.concat.{origin}.{counter}"] == meta[counter]
         assert sum(key.startswith("meta.concat.") for key in entries) == 6
 
-    def test_separator_scans_skip_what_concat_rules_out(self, tmp_path, monkeypatch):
+    def test_separator_scans_skip_what_concat_rules_out(self, tmp_path):
         # concat scans each pool side once; its own lines and the pool's
         # sources are not scanned again for the manifest
         scanned = []
@@ -248,13 +247,11 @@ class TestWriteMix:
             scanned.append(tuple(lines))
             return rows_with_token(lines, token)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("bitextaug") and getattr(module, "rows_with_token", None) is rows_with_token:
-                monkeypatch.setattr(module, "rows_with_token", counting)
         n = 30
         original = make_corpus(n, seed=16, min_len=13, max_len=20)
-        mixed = build_mix(MixRecipe("vanilla+concat", n, seed=3), original, augment=augment_cfg())
-        entries = read_sidecar(write_mix(mixed, tmp_path / "mixdir"))
+        with replaced_everywhere(rows_with_token, counting):
+            mixed = build_mix(MixRecipe("vanilla+concat", n, seed=3), original, augment=augment_cfg())
+            entries = read_sidecar(write_mix(mixed, tmp_path / "mixdir"))
         assert entries["pairs.with_separator"] == str(n)
         assert scanned == [original.sources, original.targets]
 

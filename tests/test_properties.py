@@ -40,7 +40,7 @@ from bitextaug.metrics import bucketed_bleu, bucketed_bleu_runs, corpus_bleu, re
 from bitextaug.mix import RECIPES, MixManifest, MixRecipe, build_mix, mix_manifest, write_mix
 from bitextaug.translate import Direction, TranslatorSpec, back_translate, mock_spec, self_train
 
-from conftest import forced_shards
+from conftest import forced_shards, replaced_everywhere
 from oracle import oracle_bleu
 from test_metrics import oracle_rows
 
@@ -316,11 +316,8 @@ def recorded_scans():
 
         return record
 
-    with contextlib.ExitStack() as stack:
-        for name, module in list(sys.modules.items()):
-            for func in (token_lengths, rows_with_token):
-                if name.startswith("bitextaug") and getattr(module, func.__name__, None) is func:
-                    stack.enter_context(mock.patch.object(module, func.__name__, recording(func)))
+    with replaced_everywhere(token_lengths, recording(token_lengths)), \
+            replaced_everywhere(rows_with_token, recording(rows_with_token)):
         yield calls
 
 
@@ -700,8 +697,8 @@ def test_scoring_runs_together_equals_scoring_each_alone(data, spec, n_order, sm
 
 
 # a vocabulary large enough that references drawn from it repeat no token,
-# so the kernel's repeat-free tier counts them, also against hypotheses that
-# repeat tokens (the six-word sets above seldom reach that tier)
+# so the kernel's slot tier counts them, also against hypotheses that repeat
+# tokens (the six-word sets above seldom reach that tier)
 rare_words = st.integers(0, 10_000).map(lambda i: f"w{i}")
 
 
@@ -717,9 +714,10 @@ def repeating_hypotheses(ref):
 
 @st.composite
 def runs_sharing_lines(draw, max_size=20):
-    """(runs, references): references that repeat no token, and K = 1-4 runs that share some lines."""
+    """(runs, references): references that repeat no token or likely do, and K = 1-4 runs that share some lines."""
     n = draw(st.integers(1, max_size))
-    refs = draw(st.lists(st.lists(rare_words, unique=True, max_size=12), min_size=n, max_size=n))
+    repeat_free = st.lists(rare_words, unique=True, max_size=12)
+    refs = draw(st.lists(st.one_of(repeat_free, repeat_free.flatmap(repeating_hypotheses)), min_size=n, max_size=n))
     runs: list[list[list[str]]] = []
     for _ in range(draw(st.integers(1, 4))):
         run = []
@@ -739,7 +737,7 @@ def runs_sharing_lines(draw, max_size=20):
 
 @SETTINGS
 @given(runs_sharing_lines(), st.integers(1, 40))
-def test_kernel_counts_repeat_free_references_like_the_oracle(data, block_slots):
+def test_kernel_counts_runs_sharing_lines_like_the_oracle(data, block_slots):
     runs, refs = data
     runs = [[" ".join(tokens) for tokens in run] for run in runs]
     refs = [" ".join(tokens) for tokens in refs]

@@ -168,6 +168,21 @@ class TestTranslateFile:
             if not gone_or_zombie(pid):
                 os.kill(pid, signal.SIGKILL)
 
+    @pytest.mark.parametrize("where", ["input", "output"])
+    @pytest.mark.parametrize("placeholder", ["{IN}", "{OUT}", "{SEED}"])
+    def test_placeholder_inside_a_path_is_part_of_its_name(self, tmp_path, where, placeholder):
+        # a path is inserted into the command once; a placeholder in it is not filled again
+        named = tmp_path / f"dir-{placeholder}"
+        named.mkdir()
+        infile = (named if where == "input" else tmp_path) / "in.txt"
+        outfile = (named if where == "output" else tmp_path) / f"out-{placeholder}.txt"
+        write_lines(infile, ["a b c"])
+        seed_file = tmp_path / "seed.txt"
+        spec = TranslatorSpec(f"cp {{IN}} {{OUT}} && echo {{SEED}} > {shlex.quote(str(seed_file))}", Direction.FORWARD)
+        assert translate_file(spec, infile, outfile, seed=7) == ["a b c"]
+        assert outfile.read_bytes() == infile.read_bytes()
+        assert seed_file.read_text() == "7\n"
+
     def test_missing_input(self, tmp_path):
         spec = mock_spec("identity", Direction.FORWARD)
         with pytest.raises(ValidationError, match="does not exist"):
@@ -218,6 +233,15 @@ class TestBackTranslate:
         )
         with pytest.raises(TranslatorError, match="output line 1: carriage return"):
             back_translate(corpus, spec)
+
+    @pytest.mark.parametrize("placeholder", ["{IN}", "{OUT}", "{SEED}"])
+    def test_placeholder_inside_the_work_directory_is_part_of_its_name(self, tmp_path, placeholder):
+        workdir = tmp_path / f"work-{placeholder}"
+        workdir.mkdir()
+        corpus = make_corpus(5, seed=5)
+        out = back_translate(corpus, mock_spec("identity", Direction.BACKWARD), workdir)
+        assert [p.source for p in out] == [p.target for p in corpus]
+        assert list(workdir.iterdir()) == []
 
     def test_idempotent_source_under_identity(self):
         # applying the identity backward model twice on the source side
