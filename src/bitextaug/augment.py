@@ -11,7 +11,6 @@ until the requested number of outputs survives the length filter.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -102,10 +101,10 @@ def concat_augment(pool: Corpus, config: AugmentConfig) -> Corpus:
     _check_pool_origin(pool)
     n = len(pool)
     for side in Side:
-        hits = pool.column(side).token_hits(sep)
-        if hits.any():
+        holding = np.flatnonzero(pool.column(side).token_counts(sep))
+        if len(holding):
             raise ValidationError(
-                f"pool pair {hits.argmax()} contains the reserved separator token {sep!r}"
+                f"pool pair {holding[0]} contains the reserved separator token {sep!r}"
             )
 
     lens = pool.token_counts(config.length_side)
@@ -189,9 +188,8 @@ def measure_concat_mean(corpus: Corpus, config: Optional[AugmentConfig] = None) 
     if len(corpus) == 0:
         raise ValidationError("measure_concat_mean: empty corpus")
     cfg = config or AugmentConfig(seed=0)
-    side, sep = cfg.length_side, cfg.sep_token
-    total = int(corpus.token_counts(side).sum(dtype=np.int64))
+    lines = corpus.column(cfg.length_side)
+    total = int(lines.token_counts().sum(dtype=np.int64))
     if not cfg.count_sep_in_length:
-        lines = corpus.column(side)
-        total -= sum(tokenize(line).count(sep) for line in compress(lines, lines.token_hits(sep)))
+        total -= int(lines.token_counts(cfg.sep_token).sum(dtype=np.int64))
     return total / len(corpus)

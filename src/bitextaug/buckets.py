@@ -36,7 +36,7 @@ class BucketSpec(NamedTuple):
         for prev, cur in zip(bl, bl[1:]):
             if cur <= prev:
                 raise ValidationError(f"bucket bounds must be strictly increasing: {bl}")
-        if any(b != math.inf and (b != int(b) or b < 1) for b in bl):
+        if any(b != math.inf and not (math.isfinite(b) and b == int(b) and b >= 1) for b in bl):
             raise ValidationError(f"bucket bounds must be positive integers or inf: {bl}")
         if labels is None:
             labels = []

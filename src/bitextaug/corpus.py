@@ -7,8 +7,8 @@ type, _Lines. A loaded or translated column holds its items in a numpy
 object array; a derived one (a concatenation, a mix, a subset of either)
 builds its lines from its parent columns by numpy indexing when they are
 read, one write chunk at a time, so joined lines are never all held at
-once. Each column works out its per-line facts (token counts, which lines
-hold a token, origin codes) once, from its parts' facts, without building
+once. Each column works out its per-line facts (token counts, a token's
+occurrences, origin codes) once, from its parts' facts, without building
 a joined line. A token, or "word", is a maximal run of characters for
 which ``str.isspace()`` is false, so tab, U+3000, NBSP, U+2028 and U+0085
 separate tokens and only ``\n`` ends a line; ``tokenize`` is that rule,
@@ -76,22 +76,23 @@ def _array(items: Iterable) -> np.ndarray:
     return array
 
 
-# the keys of a column's per-line facts besides the token masks, which are keyed by their token
-_COUNTS, _CODES = object(), object()
+# the key of a column's origin codes; its token counts are keyed by None, a token's occurrences by it
+_CODES = object()
 
 
 def _plain_fact(items: np.ndarray, key) -> np.ndarray:
     """One per-line fact of an array of lines, or of origins, read from the items themselves."""
-    if key is _COUNTS:
+    if key is None:
         return token_lengths(items)
     if key is _CODES:  # each origin's position in Origin
         origins = tuple(Origin)
         if len(items) and (items == items[0]).all():
             return np.full(len(items), origins.index(items[0]), np.int8)
         return np.fromiter(map(origins.index, items), np.int8, len(items))
-    hits = np.zeros(len(items), bool)
-    hits[rows_with_token(items, key)] = True
-    return hits
+    counts = np.zeros(len(items), np.int32)
+    rows = rows_with_token(items, key)  # only the lines holding the token are split
+    counts[rows] = [tokenize(items[i]).count(key) for i in rows]
+    return counts
 
 
 def _items(part, rows: np.ndarray) -> np.ndarray:
@@ -121,12 +122,8 @@ class _Joined:
 
     def _fact(self, key) -> np.ndarray:
         # a joined line's tokens are its halves' tokens and the separator between them
-        if key == self.sep:
-            return np.ones(len(self), bool)
         halves = self.column._fact(key)
-        if key is _COUNTS:
-            return halves[self.first] + halves[self.second] + 1
-        return halves[self.first] | halves[self.second]
+        return halves[self.first] + halves[self.second] + (key is None or key == self.sep)
 
 
 class _Lines(SequenceABC):
@@ -140,9 +137,9 @@ class _Lines(SequenceABC):
     slice is a tuple; a column equals a tuple or another column with the
     same items.
 
-    Each fact (token counts, which lines hold a token, origin codes) is
-    worked out once, from the parts' facts, so no joined line is built for
-    it; ``facts`` gives those known from how the column was made.
+    Each fact (token counts, how often each line holds a token, origin
+    codes) is worked out once, from the parts' facts, so no joined line is
+    built for it; ``facts`` gives those known from how the column was made.
     """
 
     __slots__ = ("_parts", "_starts", "_order", "_facts")
@@ -186,12 +183,8 @@ class _Lines(SequenceABC):
         order = np.arange(len(self)) if self._order is None else self._order
         return _Lines(self._parts, order[rows], facts)
 
-    def token_counts(self) -> np.ndarray:
-        """The token count of every line, int32."""
-        return self._fact(_COUNTS)
-
-    def token_hits(self, token: str) -> np.ndarray:
-        """Whether each line holds ``token``, as a bool mask."""
+    def token_counts(self, token: Optional[str] = None) -> np.ndarray:
+        """The token count of every line, or how often each holds ``token`` when given, int32."""
         return self._fact(token)
 
     def codes(self) -> np.ndarray:
@@ -280,9 +273,9 @@ class Corpus:
     loaded or translated column holds an object array, and a derived one (a
     concatenation, a mix, a subset of either) builds its lines from its
     parent columns when they are read. A column also works out its token
-    counts and which lines hold a token once, from its parts, so a derived
-    corpus splits no line its parents have split; a translated corpus keeps
-    the column object of the side that was not translated.
+    counts and how often each line holds a token once, from its parts, so a
+    derived corpus splits no line its parents have split; a translated
+    corpus keeps the column object of the side that was not translated.
     """
 
     __slots__ = ("sources", "targets", "origins", "name", "source_lang", "target_lang", "meta")
@@ -347,7 +340,7 @@ class Corpus:
 
     def token_rows(self, side: Side, token: str) -> int:
         """How many lines of one side hold ``token``, as rows_with_token counts them."""
-        return int(np.count_nonzero(self.column(side).token_hits(token)))
+        return int(np.count_nonzero(self.column(side).token_counts(token)))
 
 
 class LengthStats(NamedTuple):
@@ -564,25 +557,30 @@ def validate_corpus(corpus: Corpus, sep_token: Optional[str] = None) -> list[str
         f"pair 0: {side} starts with U+FEFF, which reads back as a byte-order mark"
         for side in _sides_starting_with_bom(corpus)
     ]
-    if sep_token is not None:  # only the rows these masks mark need tokenizing
-        sep_hits = {s.value: corpus.column(s).token_hits(sep_token) for s in Side}
-    for i, p in enumerate(corpus):
-        for side_name, line in (("source", p.source), ("target", p.target)):
-            if "\n" in line or "\r" in line:
-                problems.append(f"pair {i}: {side_name} contains a newline or carriage return")
-            if not line or line.isspace():
-                problems.append(f"pair {i}: empty {side_name}")
-            elif sep_token is not None:
-                n_sep = tokenize(line).count(sep_token) if sep_hits[side_name][i] else 0
-                if p.origin is Origin.CONCAT and n_sep != 1:
-                    problems.append(
-                        f"pair {i}: concatenated {side_name} has {n_sep} separator tokens, expected 1"
-                    )
-                if p.origin is not Origin.CONCAT and n_sep != 0:
-                    problems.append(
-                        f"pair {i}: {side_name} contains reserved separator token {sep_token!r}"
-                    )
-    return problems
+    concat = corpus.origins.codes() == tuple(Origin).index(Origin.CONCAT)
+    empty_problem = line_problem("")  # line_problem's word for an empty line, reported as "empty <side>"
+    found = []  # (pair, side, check, message), sorted into the order each pair reports its lines
+    for s, side in enumerate(Side):
+        lines = corpus.column(side)
+        breaks, empty = np.empty(len(lines), bool), np.empty(len(lines), bool)
+        for start in range(0, len(lines), _WRITE_CHUNK_LINES):  # each line is built once
+            chunk = lines[start : start + _WRITE_CHUNK_LINES]
+            at = slice(start, start + len(chunk))
+            breaks[at] = list(map(operator.contains, chunk, repeat("\n")))
+            breaks[at] |= list(map(operator.contains, chunk, repeat("\r")))
+            empty[at] = list(map(operator.eq, map(line_problem, chunk), repeat(empty_problem)))
+        broken = f"{side.value} contains a newline or carriage return"
+        found += ((i, s, 0, broken) for i in np.flatnonzero(breaks).tolist())
+        found += ((i, s, 1, f"empty {side.value}") for i in np.flatnonzero(empty).tolist())
+        if sep_token is not None:  # an empty line is not checked for the separator
+            counts = lines.token_counts(sep_token)
+            for i in np.flatnonzero((counts != concat) & ~empty).tolist():
+                if concat[i]:
+                    message = f"concatenated {side.value} has {counts[i]} separator tokens, expected 1"
+                else:
+                    message = f"{side.value} contains reserved separator token {sep_token!r}"
+                found.append((i, s, 2, message))
+    return problems + [f"pair {i}: {message}" for i, _, _, message in sorted(found)]
 
 
 def length_stats(corpus: Corpus, buckets: BucketSpec, side: Side = Side.SOURCE) -> LengthStats:
@@ -594,6 +592,8 @@ def length_stats(corpus: Corpus, buckets: BucketSpec, side: Side = Side.SOURCE) 
     if len(corpus) == 0:
         raise ValidationError("length_stats: empty corpus")
     lens = corpus.token_counts(side)
+    if not lens.all():  # a bucket spec starts at length 1
+        raise ValidationError(f"length_stats: {side.value} lines must be non-empty sentences")
     mean = float(lens.sum()) / len(lens)
     # the extra last slot counts the lengths past a finite last bound
     counts = np.bincount(buckets.assign(lens), minlength=len(buckets.labels) + 1)

@@ -18,7 +18,7 @@ A mix holds no line of its own: its three columns are views over the
 components' columns, concat lines still unjoined, taken through the
 shuffle permutation. write_mix builds the lines one chunk at a time as it
 writes them, and the manifest reads the origin codes, token counts and
-separator mask that the columns compose from their components'.
+separator counts that the columns compose from their components'.
 """
 
 from __future__ import annotations

@@ -242,7 +242,7 @@ def _input_corpus(config: PipelineConfig, name: str, columns: _Columns) -> Corpu
     records that no line holds it.
     """
     n = len(columns[0])
-    none_hold = {config.sep_token: np.zeros(n, bool)}
+    none_hold = {config.sep_token: np.zeros(n, np.int32)}
     sources, targets = (_Lines([lines], facts=none_hold) for lines in columns)
     return Corpus(sources, targets, (Origin.ORIGINAL,) * n, name, config.source_lang, config.target_lang)
 

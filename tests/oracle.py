@@ -1,9 +1,9 @@
-"""Brute-force corpus BLEU oracle, written independently of the package.
+"""Brute-force references, written independently of the package.
 
-Counts n-grams by explicit index loops into plain dicts, keeps precisions
-as exact fractions until the final combination, and never shares code
-with bitextaug.metrics. Used to cross-check corpus_bleu on small
-fixtures.
+The corpus BLEU oracle counts n-grams by explicit index loops into plain
+dicts, keeps precisions as exact fractions until the final combination,
+and never shares code with bitextaug.metrics. Used to cross-check
+corpus_bleu on small fixtures.
 
 Conventions (must mirror the scorer's documented semantics): orders with
 zero hypothesis n-grams in the whole corpus are dropped from the
@@ -59,3 +59,26 @@ def oracle_bleu(hyp_token_lists, ref_token_lists, n_order=4, smooth=False):
     else:
         brevity = math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * brevity * math.exp(log_mean)
+
+
+def validate_corpus_by_pairs(corpus, sep_token=None):
+    """validate_corpus's messages from a walk over every pair, each checked line split on its own."""
+    problems = [
+        f"pair 0: {side} starts with U+FEFF, which reads back as a byte-order mark"
+        for side, lines in (("source", corpus.sources), ("target", corpus.targets))
+        if len(lines) and lines[0].startswith("\ufeff")
+    ]
+    for i, (source, target, origin) in enumerate(corpus):
+        concat = origin.value == "concat"
+        for side, line in (("source", source), ("target", target)):
+            if "\n" in line or "\r" in line:
+                problems.append(f"pair {i}: {side} contains a newline or carriage return")
+            if not line or line.isspace():
+                problems.append(f"pair {i}: empty {side}")
+            elif sep_token is not None:
+                n_sep = line.split().count(sep_token)
+                if concat and n_sep != 1:
+                    problems.append(f"pair {i}: concatenated {side} has {n_sep} separator tokens, expected 1")
+                if not concat and n_sep != 0:
+                    problems.append(f"pair {i}: {side} contains reserved separator token {sep_token!r}")
+    return problems

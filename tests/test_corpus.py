@@ -322,6 +322,14 @@ class TestLengthStats:
         with pytest.raises(ValidationError):
             length_stats(Corpus([], [], []), STANDARD_BUCKETS)
 
+    def test_line_without_a_token_rejected(self):
+        # no bucket holds length 0: the first starts at 1
+        for empty in ("", "\u3000 "):
+            corpus = Corpus([empty, "a b"], ["x", "y"], [Origin.ORIGINAL] * 2)
+            with pytest.raises(ValidationError, match="source lines must be non-empty"):
+                length_stats(corpus, STANDARD_BUCKETS)
+            assert length_stats(corpus, STANDARD_BUCKETS, Side.TARGET).histogram["1-10"] == 2
+
 
 class TestSample:
     def test_full_sample_is_identity(self, small_corpus):

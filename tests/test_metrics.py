@@ -603,3 +603,7 @@ class TestBucketSpecParsing:
             BucketSpec.from_bounds([20, 10])
         with pytest.raises(ValidationError):
             BucketSpec.from_bounds([])
+        with pytest.raises(ValidationError):
+            BucketSpec.from_bounds([float("nan")])
+        with pytest.raises(ValidationError):
+            BucketSpec.from_bounds([float("-inf")])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from bitextaug import corpus as corpus_module
 from bitextaug import metrics
 from bitextaug import translate as translate_module
-from bitextaug.augment import AugmentConfig, concat_augment
+from bitextaug.augment import AugmentConfig, concat_augment, measure_concat_mean
 from bitextaug.buckets import STANDARD_BUCKETS, BucketSpec
 from bitextaug.corpus import (
     Corpus,
@@ -34,6 +34,7 @@ from bitextaug.corpus import (
     sample,
     save_parallel,
     token_lengths,
+    validate_corpus,
 )
 from bitextaug.errors import CorpusFormatError
 from bitextaug.metrics import bucketed_bleu, bucketed_bleu_runs, corpus_bleu, report_to_csv
@@ -41,7 +42,7 @@ from bitextaug.mix import RECIPES, MixManifest, MixRecipe, build_mix, mix_manife
 from bitextaug.translate import Direction, TranslatorSpec, back_translate, mock_spec, self_train
 
 from conftest import forced_shards, replaced_everywhere
-from oracle import oracle_bleu
+from oracle import oracle_bleu, validate_corpus_by_pairs
 from test_metrics import oracle_rows
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -349,6 +350,12 @@ def test_facts_compose_without_building_lines(loaded, warm, shuffled, other, see
             for corpus in (part, concat, pseudo, mixed)
             for side in Side
         ]
+        occurrences = [
+            column.token_counts(token)
+            for corpus in (part, concat, pseudo, mixed)
+            for column in map(corpus.column, Side)
+            for token in ("<sep>", other)
+        ]
         manifests = [mix_manifest(mixed, token) for token in ("<sep>", other)]
     # only loaded or translated lines were split, each column once per token
     plain = [loaded.sources, loaded.targets, part.sources, part.targets, pseudo.sources]
@@ -362,6 +369,72 @@ def test_facts_compose_without_building_lines(loaded, warm, shuffled, other, see
     ]
     assert [(counts.tolist(), rows) for counts, rows in facts] == expected
     assert manifests == [reference_manifest(mixed, token) for token in ("<sep>", other)]
+    assert [counts.tolist() for counts in occurrences] == [
+        [line.split().count(token) for line in column]
+        for corpus in (part, concat, pseudo, mixed)
+        for column in map(corpus.column, Side)
+        for token in ("<sep>", other)
+    ]
+    # a concat pool holds no separator, so a line holding two comes in a plain part beside the mix
+    held = _Lines([mixed.sources, ["<sep>\t<sep>", f"{other} <sep>\t{other}"]])
+    held = held.take(np.random.default_rng(seed).permutation(len(held)))
+    for token in ("<sep>", other):
+        assert held.token_counts(token).tolist() == [line.split().count(token) for line in held]
+
+
+# lines validate_corpus must flag, or must not: line breaks, whitespace-only
+# lines, a leading U+FEFF, separators repeated or inside a longer token
+messy_lines = st.tuples(
+    st.sampled_from(["", "\ufeff"]),
+    st.lists(
+        st.sampled_from(["a", "bb", "<sep>", "x<sep>y", " ", "\t", "\r", "\n", "\u3000", "\u00a0", "\u2028", "\x1c"]),
+        max_size=6,
+    ),
+).map(lambda parts: parts[0] + "".join(parts[1]))
+# separators validate_corpus is asked about: none, one token, two tokens, empty
+VALIDATED_SEPS = [None, "<sep>", "a <sep>", ""]
+
+
+@st.composite
+def messy_corpora(draw):
+    rows = draw(st.lists(st.tuples(messy_lines, messy_lines, st.sampled_from(Origin)), max_size=20))
+    return Corpus([s for s, _, _ in rows], [t for _, t, _ in rows], [o for _, _, o in rows])
+
+
+# concat pools of such lines: original pairs that hold no separator token
+messy_pools = st.lists(
+    st.tuples(*[messy_lines.filter(lambda line: "<sep>" not in line.split())] * 2), min_size=2, max_size=12
+).map(lambda rows: Corpus(*zip(*rows), [Origin.ORIGINAL] * len(rows)))
+
+
+@SETTINGS
+@given(messy_corpora(), st.lists(st.integers(0, 40), max_size=30))
+@example(Corpus(["\ufeffa", "\r", "x<sep>y <sep>\t<sep>"], ["\u3000", "b\nc", "<sep>"], list(Origin)[1:]), [2, 0])
+def test_validate_corpus_equals_the_pair_walk(corpus, rows):
+    part = corpus.take([row % len(corpus) for row in rows] if len(corpus) else [], "rows", {})
+    for sep in VALIDATED_SEPS:
+        assert validate_corpus(corpus, sep) == validate_corpus_by_pairs(corpus, sep)
+        assert validate_corpus(part, sep) == validate_corpus_by_pairs(part, sep)
+
+
+@SETTINGS
+@given(messy_corpora(), messy_pools, st.integers(0, 2**32 - 1))
+def test_validate_corpus_reads_a_mix_without_scanning_its_concat_lines(drawn, pool, seed):
+    # a shuffled vanilla+concat mix, its rows shuffled again among drawn rows of every origin
+    recipe = MixRecipe("vanilla+concat", len(pool), seed=seed)
+    mixed = build_mix(recipe, pool, augment=AugmentConfig(seed=seed, min_concat_len=0))
+    order = np.random.default_rng(seed).permutation(len(drawn) + len(mixed))
+    columns = [[drawn.sources, mixed.sources], [drawn.targets, mixed.targets], [drawn.origins, mixed.origins]]
+    whole = Corpus(*(_Lines(parts, order) for parts in columns))
+    with recorded_scans() as scans:
+        checked = [validate_corpus(c, sep) for c in (mixed, whole) for sep in VALIDATED_SEPS]
+        means = [measure_concat_mean(c) for c in (mixed, whole)]
+    plain = [drawn.sources, drawn.targets, pool.sources, pool.targets]
+    for _, lines, _ in scans:
+        assert type(lines) is np.ndarray and any(tuple(lines) == column for column in plain)
+    assert checked == [validate_corpus_by_pairs(c, sep) for c in (mixed, whole) for sep in VALIDATED_SEPS]
+    words = [sum(len(line.split()) - line.split().count("<sep>") for line in c.sources) for c in (mixed, whole)]
+    assert means == [words[0] / len(mixed), words[1] / len(whole)]
 
 
 @SETTINGS
