@@ -121,7 +121,7 @@ class _Joined:
         return self.join(self.column._gather(self.first[rows]), self.column._gather(self.second[rows]), self.sep)
 
     def _fact(self, key) -> np.ndarray:
-        # a joined line's tokens are its halves' tokens and the separator between them
+        # a joined line holds its halves' tokens plus one separator, counted under key None and the separator's
         halves = self.column._fact(key)
         return halves[self.first] + halves[self.second] + (key is None or key == self.sep)
 
